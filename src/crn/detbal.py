@@ -130,14 +130,15 @@ def _reaction_pairs(net) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def _product_verdict(state, label, fwd, bwd, tol, factor_scale: float = 1.0) -> Verdict | None:
-    """Compare two products in log space; zero factors handled exactly.
+def _log_product_mismatch(fwd, bwd, tol, factor_scale):
+    """Compare two products of factors in log space; None if they agree,
+    else the pair of products (lhs, rhs).
 
-    A product whose every factor sits at the negligible level that the
-    additive term of the scalar tolerance already forgives (roughly
-    ``2 * tol * factor_scale`` per factor) is treated as zero, so the cycle
-    verdict stays consistent with the pairwise verdicts near rate-free
-    states.  Returns None when balanced, a failing Verdict otherwise.
+    Zero factors are handled exactly.  A product whose every factor sits at
+    the negligible level that the additive term of the scalar tolerance
+    already forgives (roughly ``2 * tol * factor_scale`` per factor) is
+    treated as zero, so the cycle verdict stays consistent with the pairwise
+    verdicts near rate-free states.
     """
     j = len(fwd)
     floor = j * math.log(max(2.0 * tol * factor_scale, 5e-324))
@@ -154,11 +155,9 @@ def _product_verdict(state, label, fwd, bwd, tol, factor_scale: float = 1.0) -> 
     top = max((v for v in (lf, lb) if v is not None), default=None)
     if top is None or top <= floor:
         return None
-    if lf is None or lb is None:
-        return Verdict.fail(state, label, as_float(lf), as_float(lb))
-    if abs(lf - lb) <= tol * (1.0 + abs(lf) + abs(lb)):
+    if lf is not None and lb is not None and abs(lf - lb) <= tol * (1.0 + abs(lf) + abs(lb)):
         return None
-    return Verdict.fail(state, label, as_float(lf), as_float(lb))
+    return as_float(lf), as_float(lb)
 
 
 def classify_state(sys: MassActionSystem, c, tol: float = 1e-9) -> StateBalanceReport:
@@ -207,9 +206,9 @@ def classify_state(sys: MassActionSystem, c, tol: float = 1e-9) -> StateBalanceR
     for cycle in cycles_of(net):
         fwd = [rate_of(a, b) for a, b in cycle.edges()]
         bwd = [rate_of(b, a) for a, b in cycle.edges()]
-        bad = _product_verdict(state, f"cyb:{cycle.complexes}", fwd, bwd, tol)
+        bad = _log_product_mismatch(fwd, bwd, tol, 1.0)
         if bad is not None:
-            cyb = bad
+            cyb = Verdict.fail(state, f"cyb:{cycle.complexes}", *bad)
             break
 
     eq = is_equilibrium(sys, c, tol)

@@ -37,12 +37,6 @@ class LinkagePartition:
     def __len__(self) -> int:
         return len(self.classes)
 
-    def class_of(self, complex_index: int) -> int:
-        for i, cls in enumerate(self.classes):
-            if complex_index in cls:
-                return i
-        raise KeyError(complex_index)
-
 
 @dataclass(frozen=True)
 class DirectedCycle:
@@ -60,9 +54,6 @@ class DirectedCycle:
     def edges(self) -> list[tuple[int, int]]:
         cs = self.complexes
         return [(cs[i], cs[(i + 1) % len(cs)]) for i in range(len(cs))]
-
-    def reversed_edges(self) -> list[tuple[int, int]]:
-        return [(b, a) for a, b in self.edges()]
 
 
 def _out_neighbors(net: ReactionNetwork) -> list[list[int]]:

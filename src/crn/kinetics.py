@@ -9,6 +9,8 @@ orthant are therefore absorbing.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .model import MassActionSystem
@@ -36,12 +38,40 @@ def det_rates(sys: MassActionSystem, c) -> np.ndarray:
     return rates
 
 
-def falling_factorial(x: int, y: int) -> int:
-    """x * (x-1) * ... * (x-y+1), with the empty product equal to 1."""
-    out = 1
-    for j in range(y):
-        out *= x - j
-    return out
+def propensities(sys: MassActionSystem, states) -> np.ndarray:
+    """Stochastic mass-action propensities at each row of an N x n count array.
+
+    Returns an N x r array aligned with ``sys.network.reactions``.  Falling
+    factorials are exact integers (int64 while the product provably fits,
+    Python ints beyond) and meet ``kappa`` in a single float multiply, so a
+    row equals the scalar definition bit for bit.  Counts beyond int64 are
+    held as Python ints.  A rate is zero wherever some ``x_i < y_i``; in
+    particular every rate vanishes off the orthant.
+    """
+    net = sys.network
+    try:
+        x = np.asarray(states, dtype=np.int64)
+    except OverflowError:
+        x = np.asarray(states, dtype=object)
+    x = x.reshape(len(x), net.n)
+    rates = np.zeros((len(x), net.r))
+    if not len(x) or not net.r:
+        return rates
+    y = net.source_matrix
+    feasible = (x[:, None, :] >= y[None, :, :]).all(axis=2)
+    x = np.maximum(x, 0)
+    top = [int(v) for v in x.max(axis=0)]
+    for k in range(net.r):
+        y_k = [int(v) for v in y[k]]
+        bound = math.prod(max(t, yi) ** yi for t, yi in zip(top, y_k))
+        exact = np.int64 if bound < 2**63 else object
+        prod = np.ones(len(x), dtype=exact)
+        for i in np.flatnonzero(y_k):
+            xi = x[:, i].astype(exact)
+            for j in range(y_k[i]):
+                prod = prod * (xi - j)
+        rates[feasible[:, k], k] = sys.kappa[k] * prod[feasible[:, k]].astype(float)
+    return rates
 
 
 def propensity(sys: MassActionSystem, x) -> np.ndarray:
@@ -50,20 +80,7 @@ def propensity(sys: MassActionSystem, x) -> np.ndarray:
     Returns an array aligned with ``sys.network.reactions``; a reaction with
     ``x`` not componentwise >= its source complex has propensity zero.
     """
-    net = sys.network
     x = tuple(int(v) for v in x)
-    if len(x) != net.n:
-        raise ValueError(f"state has length {len(x)}, expected {net.n}")
-    rates = np.zeros(net.r)
-    for k in range(net.r):
-        y = net.source_matrix[k]
-        prod = 1
-        for xi, yi in zip(x, y):
-            if xi < yi:
-                prod = 0
-                break
-            if yi:
-                prod *= falling_factorial(xi, int(yi))
-        if prod:
-            rates[k] = sys.kappa[k] * prod
-    return rates
+    if len(x) != sys.network.n:
+        raise ValueError(f"state has length {len(x)}, expected {sys.network.n}")
+    return propensities(sys, [x])[0]

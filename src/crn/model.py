@@ -161,9 +161,6 @@ class ReactionNetwork:
         """Map (source, target) complex indices to reaction position."""
         return {(rxn.source, rxn.target): k for k, rxn in enumerate(self.reactions)}
 
-    def has_reaction(self, source: int, target: int) -> bool:
-        return (source, target) in self.edge_index
-
 
 def build_network(
     species: SpeciesTable,
