@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
@@ -64,11 +63,6 @@ __all__ = [
     "is_stationary_measure",
     "component_is_active",
 ]
-
-# Components up to this size use subtraction-free GTH elimination (banded,
-# componentwise relative accuracy); larger ones use a sparse LU factorization
-# (normwise accuracy, which is all the large cases need).
-_GTH_CAP = 800
 
 # Compatibility classes are enumerated within the box when their pivot
 # ranges span at most this many lattice points; larger ones (open classes in
@@ -292,19 +286,18 @@ def _state_array(sys: MassActionSystem, component: ComponentResult) -> np.ndarra
     )
 
 
-def _index(sys: MassActionSystem, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Propensities at each of ``points`` (N x r) and the index among them of
-    each reaction's target (N x r, -1 where absent).  ``points`` may come in
-    any order."""
-    rates = propensities(sys, points)
-    if not len(points):
-        return rates, np.zeros(rates.shape, dtype=np.int64)
+def _index(
+    sys: MassActionSystem, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``points`` (nonempty, in any order) sorted lexicographically, the
+    propensities at each (N x r), and the index among them of each reaction's
+    target (N x r, -1 where absent)."""
     frame = _Frame(points.min(axis=0), points.max(axis=0))
     keys = frame.keys(points)
     order = np.argsort(keys, kind="stable")
-    found = _find(keys[order], frame.keys(_shifted(points, sys.network.reaction_vectors)))
-    targets = np.where(found >= 0, order[found], -1)
-    return rates, targets.reshape(len(points), sys.network.r)
+    points = points[order]
+    targets = _find(keys[order], frame.keys(_shifted(points, sys.network.reaction_vectors)))
+    return points, propensities(sys, points), targets.reshape(len(points), sys.network.r)
 
 
 def communicating_class(sys: MassActionSystem, seed, box: Box) -> ComponentResult:
@@ -326,7 +319,7 @@ def communicating_class(sys: MassActionSystem, seed, box: Box) -> ComponentResul
     points = _class_lattice(net, seed, box)
     if points is None:
         points = _reachable(sys, seed, box)
-    rates, targets = _index(sys, points)
+    points, rates, targets = _index(sys, points)
     live = rates > 0
     home = int(np.flatnonzero((points == seed).all(axis=1))[0])
     if live[home].any() and np.all(targets[home][live[home]] < 0):
@@ -407,16 +400,17 @@ def stationary_distribution(
                 + ("" if component.truncated else " and not a box truncation")
                 + ("; it also leaks inside the box" if component.internal_leak else "")
             )
-    states = component.states
-    size = len(states)
+    size = len(component.states)
     if size == 0:
         raise EmptySupportError("component has no states")
     if size == 1:
-        return Measure({states[0]: 1.0}, normalized=True)
+        return Measure({component.states[0]: 1.0}, normalized=True)
 
-    # Kept moves of the reflected chain.  Reactions sharing a reaction
-    # vector share a target, and their rates are summed in reaction order.
-    all_rates, targets = _index(sys, _state_array(sys, component))
+    # Kept moves of the reflected chain between the states in lexicographic
+    # order.  Reactions sharing a reaction vector share a target, and their
+    # rates are summed in reaction order.
+    points, all_rates, targets = _index(sys, _state_array(sys, component))
+    states = tuple(map(tuple, points.tolist()))
     kept = (all_rates > 0) & (targets >= 0)
     rates = np.where(kept, all_rates, 0.0)
     src, dst, val = [], [], []
@@ -429,68 +423,42 @@ def stationary_distribution(
     src, dst, val = np.concatenate(src), np.concatenate(dst), np.concatenate(val)
     exit_rate = _in_order_sum(rates.T)
 
-    if size <= _GTH_CAP:
-        # Subtraction-free state-reduction (GTH) elimination: every update is
-        # a sum or product of nonnegative rates, so the stationary vector
-        # comes out with componentwise relative accuracy, tails included.
-        # Each rank-1 update touches only the rectangle spanned by the
-        # nonzeros of its column and row; outside it the update adds +0.0.
-        R = np.zeros((size, size))
-        R[src, dst] = val
-        for k in range(size - 1, 0, -1):
-            s = float(R[k, :k].sum())
-            if s <= 0.0:
-                raise SolveFailureError(
-                    "component is not irreducible: no route from state "
-                    f"{states[k]} to earlier states"
-                )
-            rows = np.flatnonzero(R[:k, k])
-            if not len(rows):
-                continue
-            cols = np.flatnonzero(R[k, :k])
-            r0, r1, c0, c1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
-            R[r0:r1, k] /= s
-            R[r0:r1, c0:c1] += np.outer(R[r0:r1, k], R[k, c0:c1])
-        pi = np.zeros(size)
-        pi[0] = 1.0
-        for k in range(1, size):
-            pi[k] = float(pi[:k] @ R[:k, k])
-            if pi[k] > 1e250:  # keep headroom; only ratios matter
-                pi[: k + 1] *= 1e-250
-        if not np.all(np.isfinite(pi)):
-            raise SolveFailureError("state-reduction solve overflowed")
-    else:
-        # Same system assembled sparse; the last balance row is replaced by
-        # the normalization row sum(pi) = 1.
-        last = size - 1
-        diag = np.flatnonzero(exit_rate != 0)
-        diag = diag[diag != last]
-        move = dst != last
-        A = sp.csc_matrix(
-            (
-                np.concatenate([-exit_rate[diag], val[move], np.ones(size)]),
-                (
-                    np.concatenate([diag, dst[move], np.full(size, last)]),
-                    np.concatenate([diag, src[move], np.arange(size)]),
-                ),
-            ),
-            shape=(size, size),
-        )
-        b = np.zeros(size)
-        b[-1] = 1.0
-        try:
-            pi = spla.splu(A).solve(b)
-        except Exception as exc:
-            raise SolveFailureError(f"sparse global-balance solve failed: {exc}") from exc
-        if not np.all(np.isfinite(pi)):
-            raise SolveFailureError("sparse global-balance solve returned non-finite values")
-
-    floor = -1e-12 * float(np.max(np.abs(pi)))
-    if float(np.min(pi)) < floor:
-        raise SolveFailureError(
-            f"global-balance solution has negative mass {float(np.min(pi))}"
-        )
-    pi = np.clip(pi, 0.0, None)
+    # Subtraction-free state-reduction (GTH) elimination: every update is a
+    # sum or product of nonnegative rates, so the stationary vector comes out
+    # nonnegative with componentwise relative accuracy, tails included.  A
+    # move reaches at most ``lower`` states back and ``upper`` states forward,
+    # and eliminating from the last state down keeps every fill-in inside
+    # that band.  Band entry R[i, j] lives at R[i * width + j + lower]: a row
+    # of the band is a contiguous run, a column a stride-``width`` run, and no
+    # two band entries share a slot.
+    lower = int(np.max(src - dst, initial=0))
+    upper = int(np.max(dst - src, initial=0))
+    width = lower + upper
+    R = np.zeros(size * (width + 1) + lower)
+    R[src * width + dst + lower] = val
+    for k in range(size - 1, 0, -1):
+        first_col, first_row = max(k - lower, 0), max(k - upper, 0)
+        row = R[k * width + first_col + lower : k * width + k + lower]
+        s = float(row.sum())
+        if s <= 0.0:
+            raise SolveFailureError(
+                "component is not irreducible: no route from state "
+                f"{states[k]} to earlier states"
+            )
+        col = R[first_row * width + k + lower : k * width + k + lower : width]
+        col /= s
+        block = R[first_row * width + first_col + lower : k * width + first_col + lower]
+        block.reshape(k - first_row, width)[:, : k - first_col] += col[:, None] * row
+    pi = np.zeros(size)
+    pi[0] = 1.0
+    for k in range(1, size):
+        first_row = max(k - upper, 0)
+        col = R[first_row * width + k + lower : k * width + k + lower : width]
+        pi[k] = float(pi[first_row:k] @ col)
+        if pi[k] > 1e250:  # keep headroom; only ratios matter
+            pi[: k + 1] *= 1e-250
+    if not np.all(np.isfinite(pi)):
+        raise SolveFailureError("state-reduction solve overflowed")
     total = float(pi.sum())
     if total <= 0:
         raise SolveFailureError("global-balance solution has zero total mass")

@@ -237,7 +237,9 @@ def stationary_oracle(states, moves):
     """Dense null-space solve of the global balance equations.
 
     ``moves`` maps each state to its (target, rate) list, already restricted
-    to ``states``.  Independent of the library's GTH/sparse paths.
+    to ``states``.  Independent of the library's banded GTH elimination; a
+    least-squares solve is accurate only in norm, so compare it with an
+    absolute tolerance.
     """
     index = {x: i for i, x in enumerate(states)}
     size = len(states)
