@@ -6,7 +6,7 @@ Run as: python3 demos/04_bridge_implications.py
 
 import crn
 from crn import Box
-from crn.cli import analyze_system
+from crn.bridge import analyze_system
 
 # Reaction, complex and cycle balance transfer between the two regimes;
 # reaction vector balance does not, in either direction.

@@ -95,6 +95,7 @@ from .stoch import (
     transitions,
 )
 from .ssa import SsaConfig, occupancy_measure, ssa_path, tv_distance
+from .bridge import analyze_system
 from . import corpus
 
 __version__ = "0.1.0"

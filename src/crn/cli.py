@@ -12,37 +12,30 @@ Subcommands::
 All results go to stdout as JSON (sorted keys, floats with 17 significant
 digits, hence byte-deterministic for fixed inputs); ``--pretty`` prints a
 human-readable summary instead.  Exit codes: 0 success, 2 input error,
-3 numerical failure, 4 implication violation.
-
-``analyze`` additionally cross-checks every instance-applicable arrow of the
-implication map between deterministic and stochastic balance; a ``violated``
-arrow means an internal inconsistency (the arrows are theorems), so it
-fails the run.
+3 numerical failure, 4 implication violation.  The analysis behind
+``analyze`` lives in :mod:`crn.bridge`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys as _sys
-from itertools import product
 
 import numpy as np
 
-from . import detbal, stoch
+from . import bridge, detbal, stoch
 from .errors import (
     CrnError,
     ImplicationViolationError,
-    NotReversibleError,
     NotWeaklyReversibleError,
     ParseError,
 )
-from .graph import deficiency, is_reversible, is_weakly_reversible, linkage_classes
-from .model import MassActionSystem, Measure, Status, Verdict, stoichiometric_basis
+from .model import MassActionSystem, Measure, _plain
 from .parser import format_network, parse_network, parse_state
 from .ssa import SsaConfig, occupancy_measure, tv_distance
 from .stoch import Box
 
-__all__ = ["main", "console_entry", "analyze_system"]
+__all__ = ["main", "console_entry"]
 
 
 # ---------------------------------------------------------------------------
@@ -76,318 +69,6 @@ def _json(obj) -> str:
         items = sorted(obj.items())
         return "{" + ",".join(f"{_json(str(k))}:{_json(v)}" for k, v in items) + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _verdict_json(v: Verdict | None):
-    if v is None:
-        return None
-    out = {"status": v.status.value}
-    if v.witness is not None:
-        out["witness"] = {
-            "state": list(v.witness.state),
-            "condition": v.witness.condition,
-            "lhs": v.witness.lhs,
-            "rhs": v.witness.rhs,
-        }
-    else:
-        out["witness"] = None
-    return out
-
-
-def _state_report_json(report: detbal.StateBalanceReport):
-    return {
-        "rb": _verdict_json(report.rb),
-        "cb": _verdict_json(report.cb),
-        "rvb": _verdict_json(report.rvb),
-        "cyb": _verdict_json(report.cyb),
-        "equilibrium": _verdict_json(report.equilibrium),
-        "drift_norm": report.drift_norm,
-    }
-
-
-def _measure_report_json(report: stoch.MeasureBalanceReport):
-    return {
-        "rb": _verdict_json(report.rb),
-        "cb": _verdict_json(report.cb),
-        "rvb": _verdict_json(report.rvb),
-        "cyb": _verdict_json(report.cyb),
-        "stationary": _verdict_json(report.stationary),
-        "boundary_skipped": report.boundary_skipped,
-    }
-
-
-# ---------------------------------------------------------------------------
-# analysis
-# ---------------------------------------------------------------------------
-
-def _det_summary(sys: MassActionSystem, tol: float, rvb_starts: int):
-    try:
-        rb_state = detbal.solve_reaction_balanced(sys, tol=tol)
-    except NotReversibleError:
-        rb_state = None
-    try:
-        cb_state = detbal.solve_complex_balanced(sys, tol=tol)
-    except NotWeaklyReversibleError:
-        cb_state = None
-    cyb = detbal.system_cycle_balanced(sys)
-    rvb_states = detbal.solve_rvb(sys, starts=rvb_starts)
-    return {
-        "rb_state": rb_state,
-        "cb_state": cb_state,
-        "cyb_system": cyb,
-        "rvb_states": rvb_states,
-    }
-
-
-def _support_has_grid(support, degree: int) -> bool:
-    """Sufficient check that no nonzero polynomial of the given degree
-    vanishes on the support: it contains a full (degree+1)-point grid."""
-    if not support:
-        return False
-    n = len(support[0])
-    if n == 0:
-        return False
-    axes = []
-    for i in range(n):
-        vals = sorted({x[i] for x in support})
-        if len(vals) < degree + 1:
-            return False
-        axes.append(vals[: degree + 1])
-    supp = set(support)
-    return all(tuple(p) in supp for p in product(*axes))
-
-
-class _Arrow:
-    def __init__(self, arrow_id: str):
-        self.arrow_id = arrow_id
-        self.checks = 0
-        self.failures: list[str] = []
-
-    def check(self, ok: bool, detail: str):
-        self.checks += 1
-        if not ok:
-            self.failures.append(detail)
-
-    def entry(self) -> dict:
-        if self.failures:
-            status = "violated"
-        elif self.checks:
-            status = "verified"
-        else:
-            status = "not-applicable"
-        return {
-            "arrow": self.arrow_id,
-            "status": status,
-            "detail": "; ".join(self.failures) if self.failures else f"{self.checks} check(s)",
-        }
-
-
-def _implications(sys: MassActionSystem, det, components, tol: float) -> list[dict]:
-    """Instance-level checks of the balance implication map.
-
-    ``components`` entries carry: component, active flag, measure report
-    (None when no stationary distribution was computed).
-    """
-    det_rb = det["rb_state"] is not None
-    det_cb = det["cb_state"] is not None
-    det_cyb = det["cyb_system"]
-    arrows = {
-        name: _Arrow(name)
-        for name in (
-            "det:rb=>cb",
-            "det:rb=>rvb",
-            "det:rb=>cyb",
-            "det:cb+cyb=>rb",
-            "stoch:rb=>cb",
-            "stoch:rb=>rvb",
-            "stoch:rb=>cyb",
-            "stoch:cb+cyb=>rb",
-            "stoch:cb+rvb=>rb",
-            "bridge:rb",
-            "bridge:cb",
-            "bridge:cyb",
-        )
-    }
-
-    if det_rb:
-        arrows["det:rb=>cb"].check(det_cb, "reaction balanced but no complex balanced state")
-        report = detbal.classify_state(sys, det["rb_state"], tol)
-        arrows["det:rb=>rvb"].check(
-            report.rvb.holds, "reaction balanced state is not reaction vector balanced"
-        )
-        arrows["det:rb=>cyb"].check(det_cyb, "reaction balanced but not cycle balanced")
-    if det_cb and det_cyb:
-        arrows["det:cb+cyb=>rb"].check(
-            det_rb, "complex and cycle balanced but no reaction balanced state"
-        )
-
-    max_source_degree = max(
-        (sys.network.complexes[r.source].degree for r in sys.network.reactions),
-        default=0,
-    )
-
-    for item in components:
-        report: stoch.MeasureBalanceReport | None = item.get("report")
-        if report is None:
-            continue
-        comp: stoch.ComponentResult = item["component"]
-        active = item["active"]
-        where = f"component seeded at {comp.seed}"
-
-        if report.rb.holds:
-            for name, v in (("cb", report.cb), ("rvb", report.rvb), ("cyb", report.cyb)):
-                if v.status is not Status.UNDETERMINED:
-                    arrows[f"stoch:rb=>{name}"].check(
-                        v.holds, f"{where}: rb holds but {name} fails"
-                    )
-        if report.cb.holds and report.cyb.holds:
-            if report.rb.status is not Status.UNDETERMINED:
-                arrows["stoch:cb+cyb=>rb"].check(
-                    report.rb.holds, f"{where}: cb and cyb hold but rb fails"
-                )
-        if (
-            report.cb.holds
-            and report.rvb.holds
-            and report.rb.status is not Status.UNDETERMINED
-            and item.get("support") is not None
-            and _support_has_grid(item["support"], max_source_degree)
-        ):
-            arrows["stoch:cb+rvb=>rb"].check(
-                report.rb.holds, f"{where}: cb and rvb hold on rich support but rb fails"
-            )
-
-        # bridge: deterministic system property vs classified distribution.
-        # The converse direction (measure balance implies the deterministic
-        # property) is a theorem only when the support is rich enough that no
-        # low-degree polynomial vanishes on it; on small components the
-        # falling-factorial rates vanish on too many states and balance can
-        # hold "by accident", so the grid check gates that direction.
-        rich_support = item.get("support") is not None and _support_has_grid(
-            item["support"], max_source_degree
-        )
-        for name, det_flag, verdict in (
-            ("rb", det_rb, report.rb),
-            ("cb", det_cb, report.cb),
-        ):
-            arrow = arrows[f"bridge:{name}"]
-            if det_flag and verdict.status is not Status.UNDETERMINED:
-                arrow.check(
-                    verdict.holds,
-                    f"{where}: deterministic {name} holds but measure {name} fails",
-                )
-            if verdict.holds and active and rich_support:
-                arrow.check(
-                    det_flag,
-                    f"{where}: measure {name} holds on an active component with "
-                    f"rich support but deterministic {name} fails",
-                )
-            if verdict.fails and active:
-                arrow.check(
-                    not det_flag,
-                    f"{where}: measure {name} fails on an active component "
-                    f"but deterministic {name} holds",
-                )
-
-        arrow = arrows["bridge:cyb"]
-        if det_cyb and report.cyb.status is not Status.UNDETERMINED:
-            arrow.check(
-                report.cyb.holds,
-                f"{where}: rate constants are cycle balanced but measure cyb fails",
-            )
-        if report.cyb.fails and active:
-            arrow.check(
-                not det_cyb,
-                f"{where}: measure cyb fails on an active component "
-                f"but the rate constants are cycle balanced",
-            )
-
-    return [arrows[name].entry() for name in sorted(arrows)]
-
-
-def analyze_system(
-    sys: MassActionSystem,
-    seeds=(),
-    box: Box | None = None,
-    tol: float = 1e-9,
-    rvb_starts: int = 32,
-    allow_truncated: bool = True,
-):
-    """Full analysis bundle; returns (json-ready dict, any_violated)."""
-    net = sys.network
-    basis, conserved = stoichiometric_basis(net)
-    graph_info = {
-        "reversible": is_reversible(net),
-        "weakly_reversible": is_weakly_reversible(net),
-        "deficiency": None if net.is_empty else deficiency(net),
-        "linkage_class_count": len(linkage_classes(net)),
-        "stoich_dim": len(basis),
-        "conserved_count": len(conserved),
-    }
-
-    det = _det_summary(sys, tol, rvb_starts)
-
-    components = []
-    for seed in seeds:
-        entry: dict = {"seed": list(seed)}
-        use_box = box if box is not None else Box.cube(net.n, 20)
-        try:
-            comp = stoch.communicating_class(sys, seed, use_box)
-            entry["component"] = comp
-            entry["states"] = len(comp.states)
-            entry["closed"] = comp.closed
-            entry["truncated"] = comp.truncated
-            active = stoch.component_is_active(sys, comp)
-            entry["active"] = active
-            dist = stoch.stationary_distribution(sys, comp, allow_truncated=allow_truncated)
-            report = stoch.classify_component_measure(sys, comp, dist, tol=tol)
-            entry["report"] = report
-            entry["support"] = dist.support()
-            entry["distribution"] = dist
-        except CrnError as exc:
-            entry["error"] = f"{type(exc).__name__}: {exc}"
-        components.append(entry)
-
-    implications = _implications(sys, det, [c for c in components if "component" in c], tol)
-    any_violated = any(e["status"] == "violated" for e in implications)
-
-    result = {
-        "network": {
-            "species": list(net.species.names),
-            "complexes": [cx.format(net.species) for cx in net.complexes],
-            "n": net.n,
-            "m": net.m,
-            "r": net.r,
-        },
-        "graph": graph_info,
-        "det": {
-            "rb_state": None if det["rb_state"] is None else list(det["rb_state"]),
-            "cb_state": None if det["cb_state"] is None else list(det["cb_state"]),
-            "cyb_system": det["cyb_system"],
-            "rvb_states": [list(c) for c in det["rvb_states"]],
-        },
-        "stoch": {
-            "components": [
-                {
-                    "seed": c["seed"],
-                    **(
-                        {
-                            "states": c["states"],
-                            "closed": c["closed"],
-                            "truncated": c["truncated"],
-                            "active": c["active"],
-                            "boundary_skipped": c["report"].boundary_skipped,
-                            "report": _measure_report_json(c["report"]),
-                        }
-                        if "report" in c
-                        else {"error": c.get("error", "unknown failure")}
-                    ),
-                }
-                for c in components
-            ]
-        },
-        "implications": implications,
-    }
-    return result, any_violated
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +147,7 @@ def cmd_analyze(args) -> int:
         for s in (args.seed_state or [])
     ]
     box = _parse_box(args.box, sys_.network.n)
-    payload, violated = analyze_system(
+    payload, violated = bridge.analyze_system(
         sys_, seeds=seeds, box=box, tol=args.tol, rvb_starts=args.rvb_starts
     )
     _emit(payload, args.pretty)
@@ -477,7 +158,7 @@ def cmd_classify_state(args) -> int:
     sys_ = _load_system(args.file)
     c = parse_state(args.state, sys_.network.species)
     report = detbal.classify_state(sys_, c, tol=args.tol)
-    payload = {"state": list(c), **_state_report_json(report)}
+    payload = {"state": list(c), **_plain(report)}
     _emit(payload, args.pretty)
     return 0
 
@@ -494,15 +175,9 @@ def cmd_stationary(args) -> int:
     dist = stoch.stationary_distribution(sys_, comp, allow_truncated=args.allow_truncated)
     report = stoch.classify_component_measure(sys_, comp, dist, tol=args.tol)
     payload = {
-        "component": {
-            "seed": list(comp.seed),
-            "states": len(comp.states),
-            "closed": comp.closed,
-            "truncated": comp.truncated,
-            "active": stoch.component_is_active(sys_, comp),
-        },
+        "component": bridge.component_summary(sys_, comp),
         "distribution": _distribution_json(dist),
-        "report": _measure_report_json(report),
+        "report": _plain(report),
     }
     if args.compare_poisson:
         try:
@@ -621,3 +296,7 @@ def main(argv=None) -> int:
 
 def console_entry():  # pragma: no cover - thin wrapper
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

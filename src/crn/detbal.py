@@ -113,15 +113,19 @@ def drift(sys: MassActionSystem, c) -> np.ndarray:
     return sys.network.reaction_vectors.T.astype(float) @ rates
 
 
+def _equilibrium(net, c, rates, tol: float) -> tuple[Verdict, float]:
+    """Equilibrium verdict and drift sup-norm at ``c`` from its rates."""
+    norm = float(np.max(np.abs(net.reaction_vectors.T.astype(float) @ rates))) if net.r else 0.0
+    bound = tol * (1.0 + (float(rates.max()) if rates.size else 0.0))
+    if norm <= bound:
+        return Verdict.ok(), norm
+    return Verdict.fail(c, "equilibrium", norm, 0.0), norm
+
+
 def is_equilibrium(sys: MassActionSystem, c, tol: float = 1e-9) -> Verdict:
     """Holds iff the drift is zero up to ``tol * (1 + max rate)``."""
     c = det_state(c, sys.network.n)
-    rates = det_rates(sys, c)
-    norm = float(np.max(np.abs(drift(sys, c)))) if sys.network.r else 0.0
-    bound = tol * (1.0 + (float(rates.max()) if rates.size else 0.0))
-    if norm <= bound:
-        return Verdict.ok()
-    return Verdict.fail(c, "equilibrium", norm, 0.0)
+    return _equilibrium(sys.network, c, det_rates(sys, c), tol)[0]
 
 
 def _reaction_pairs(net) -> list[tuple[int, int]]:
@@ -211,9 +215,7 @@ def classify_state(sys: MassActionSystem, c, tol: float = 1e-9) -> StateBalanceR
             cyb = Verdict.fail(state, f"cyb:{cycle.complexes}", *bad)
             break
 
-    eq = is_equilibrium(sys, c, tol)
-    norm = float(np.max(np.abs(drift(sys, c)))) if net.r else 0.0
-    return StateBalanceReport(rb, cb, rvb, cyb, eq, norm)
+    return StateBalanceReport(rb, cb, rvb, cyb, *_equilibrium(net, c, rates, tol))
 
 
 def system_cycle_balanced(sys: MassActionSystem, log_tol: float = 1e-9) -> bool:

@@ -65,6 +65,21 @@ def _out_neighbors(net: ReactionNetwork) -> list[list[int]]:
     return out
 
 
+def _reach(adj, start: int, seen: list[bool]) -> list[int]:
+    """Nodes reachable from ``start`` along ``adj`` that were not yet
+    ``seen``; marks them seen."""
+    stack, found = [start], []
+    seen[start] = True
+    while stack:
+        node = stack.pop()
+        found.append(node)
+        for nxt in adj[node]:
+            if not seen[nxt]:
+                seen[nxt] = True
+                stack.append(nxt)
+    return found
+
+
 def linkage_classes(net: ReactionNetwork) -> LinkagePartition:
     """Connected components of (complexes, reactions + reversed reactions)."""
     adj: list[set[int]] = [set() for _ in range(net.m)]
@@ -72,20 +87,9 @@ def linkage_classes(net: ReactionNetwork) -> LinkagePartition:
         adj[rxn.source].add(rxn.target)
         adj[rxn.target].add(rxn.source)
     seen = [False] * net.m
-    classes = []
-    for start in range(net.m):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            node = stack.pop()
-            comp.append(node)
-            for nxt in adj[node]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append(nxt)
-        classes.append(tuple(sorted(comp)))
+    classes = [
+        tuple(sorted(_reach(adj, start, seen))) for start in range(net.m) if not seen[start]
+    ]
     return LinkagePartition(tuple(classes))
 
 
@@ -95,62 +99,12 @@ def is_reversible(net: ReactionNetwork) -> bool:
     return all((t, s) in edges for s, t in edges)
 
 
-def _strongly_connected_components(m: int, out: list[list[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative to dodge recursion limits."""
-    index = [-1] * m
-    low = [0] * m
-    on_stack = [False] * m
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(m):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, ptr = work[-1]
-            if ptr == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for i in range(ptr, len(out[node])):
-                nxt = out[node][i]
-                if index[nxt] == -1:
-                    work[-1] = (node, i + 1)
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-                if on_stack[nxt]:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return sccs
-
-
 def is_weakly_reversible(net: ReactionNetwork) -> bool:
-    """True iff every reaction lies inside a strongly connected component."""
-    if net.is_empty:
-        return True
-    comp_of = {}
-    for cid, comp in enumerate(_strongly_connected_components(net.m, _out_neighbors(net))):
-        for node in comp:
-            comp_of[node] = cid
-    return all(comp_of[r.source] == comp_of[r.target] for r in net.reactions)
+    """True iff every reaction's source is reachable from its target."""
+    out = _out_neighbors(net)
+    targets = {r.target for r in net.reactions}
+    reach = {t: set(_reach(out, t, [False] * net.m)) for t in targets}
+    return all(r.source in reach[r.target] for r in net.reactions)
 
 
 def deficiency(net: ReactionNetwork) -> int:

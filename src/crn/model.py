@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -464,3 +464,15 @@ class Verdict:
     @staticmethod
     def fail(state, condition: str, lhs: float, rhs: float) -> "Verdict":
         return Verdict(Status.FAILS, Witness(tuple(state), condition, float(lhs), float(rhs)))
+
+
+def _plain(obj):
+    """Report dataclasses as dicts of their fields, enums as their values and
+    tuples as lists, recursively; the form the CLI serializes."""
+    if is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, tuple):
+        return [_plain(v) for v in obj]
+    return obj

@@ -28,7 +28,7 @@ from crn import (
     system_cycle_balanced,
     tv_distance,
 )
-from crn.cli import analyze_system
+from crn import analyze_system
 from crn.errors import NotReversibleError, NotWeaklyReversibleError
 
 from helpers import (
