@@ -48,7 +48,7 @@ print("\nreaction vector balanced equilibria:",
 for c in roots:
     print(f"  drift at {float(c[0]):.0f}:", crn.drift(three, c))
 
-# The rate equations are integrated with fixed-step RK4; from 0.5 the flow
-# settles on the smallest equilibrium.
+# The rate equations are integrated by one adaptive LSODA solve, reported
+# every dt; from 0.5 the flow settles on the smallest equilibrium.
 traj = crn.integrate(three, [0.5], t_end=50.0, dt=1e-3)
 print("integrate from 0.5 ->", traj[-1][1])

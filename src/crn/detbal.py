@@ -17,6 +17,7 @@ exactly.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -432,44 +433,80 @@ def solve_rvb(
     return kept
 
 
+# LSODA error tolerances of ``integrate``: per step and per coordinate,
+# relative to the coordinate and absolute.
+_RTOL = 1e-10
+_ATOL = 1e-12
+# LSODA steps allowed between two output times (odeint's default is 500), so
+# that a coarse output grid does not end a long solve that a fine one
+# finishes; a finite-time blow-up still stops within a few thousand steps.
+_MXSTEP = 100_000
+
+
 def integrate(
     sys: MassActionSystem,
     c0,
     t_end: float,
     dt: float = 1e-3,
 ) -> list[tuple[float, np.ndarray]]:
-    """Fixed-step fourth-order Runge-Kutta integration of the rate equations."""
+    """Integrate the rate equations from ``c0`` over ``[0, t_end]``.
+
+    One adaptive LSODA solve (``scipy.integrate.odeint``, which switches
+    between Adams and BDF steps by itself) with relative tolerance
+    ``_RTOL`` and absolute tolerance ``_ATOL``.  ``dt`` is the output
+    spacing, not a step size: the result holds ``(t, c)`` at
+    ``t = 0, dt, 2dt, ...`` and a last, shorter interval ending at
+    ``t_end``, while the solver chooses its own steps.
+
+    Monomials are evaluated at ``max(c, 0)`` and returned states are
+    clamped at 0, so a decaying species that the solver undershoots below
+    zero keeps flowing instead of freezing, and no returned coordinate is
+    negative.  A start with a negative coordinate has zero drift (see
+    ``det_rates``) and is returned unchanged at every time.  Raises
+    ``NonFiniteStateError`` when the solver cannot continue, as when the
+    solution blows up in finite time.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
     net = sys.network
     c = det_state(c0, net.n)
+    # output grid: dt added up in sequence while more than eps is left, and
+    # one shorter last step to t_end when less than dt is left
+    eps = 1e-12 * max(1.0, t_end)
+    cum = np.concatenate(([0.0], np.cumsum(np.full(int(t_end / dt) + 2, dt))))
+    last = int(np.argmax((cum >= t_end - eps) | (t_end - cum < dt)))
+    times = cum[: last + 1].tolist()
+    if times[-1] < t_end - eps:
+        times.append(times[-1] + (t_end - times[-1]))
+    if len(times) == 1 or net.r == 0 or np.any(c < 0):
+        return [(t, c.copy()) for t in times]
+    # imported here: scipy.integrate adds about 0.3 s to a fresh interpreter
+    from scipy.integrate import ODEintWarning, odeint
+
     Y = net.source_matrix
     RV = net.reaction_vectors.T.astype(float)
     kappa = np.asarray(sys.kappa)
 
-    def field(z):
-        # same mass-action rate law as det_rates, inlined for the hot loop
-        if net.r == 0 or np.any(z < 0):
-            return np.zeros(net.n)
-        return RV @ (kappa * np.prod(np.power(z[None, :], Y), axis=1))
+    def field(z, _t):
+        # det_rates' rate law at max(z, 0), inlined for the solver's calls
+        return RV @ (kappa * np.prod(np.maximum(z, 0.0)[None, :] ** Y, axis=1))
 
-    t = 0.0
-    traj = [(0.0, c.copy())]
-    with np.errstate(over="ignore", invalid="ignore"):
-        while t < t_end - 1e-12 * max(1.0, t_end):
-            h = min(dt, t_end - t)
-            k1 = field(c)
-            k2 = field(c + 0.5 * h * k1)
-            k3 = field(c + 0.5 * h * k2)
-            k4 = field(c + h * k3)
-            c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(c)):
-                raise NonFiniteStateError(f"trajectory diverged at t={t + h}")
-            t += h
-            traj.append((t, c.copy()))
-    return traj
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore", ODEintWarning)
+        sol, info = odeint(field, c, times, rtol=_RTOL, atol=_ATOL, mxstep=_MXSTEP,
+                           full_output=True)
+    if info["message"] != "Integration successful.":
+        # odeint's tcur passes each output time until the solver stops short of one
+        short = np.flatnonzero(info["tcur"] < times[1:])
+        reached = float(info["tcur"][short[0]]) if short.size else t_end
+        raise NonFiniteStateError(f"trajectory diverged at t={reached}: {info['message']}")
+    finite = np.isfinite(sol).all(axis=1)
+    if not finite.all():
+        raise NonFiniteStateError(f"trajectory diverged at t={times[np.argmin(finite)]}")
+    sol = np.maximum(sol, 0.0)
+    return list(zip(times, sol))
 
 
 def same_compatibility_class(net, c1, c2, tol: float = 1e-9) -> bool:
