@@ -213,7 +213,7 @@ def cmd_simulate(args) -> int:
         if args.box is not None:
             box = _parse_box(args.box, sys_.network.n)
         else:
-            margin = max((cx.inf_norm for cx in sys_.network.complexes), default=0)
+            margin = stoch._margin(sys_.network)
             upper = tuple(
                 max(max(x[i] for x in support), x0[i]) + margin + 2
                 for i in range(sys_.network.n)

@@ -9,9 +9,12 @@ A state is classified against four balance conditions:
 * cycle balance: around every directed simple cycle of >= 3 distinct
   complexes, the forward and backward rate products agree.
 
-Each scalar equation passes iff ``|lhs - rhs| <= tol * (1 + |lhs| + |rhs|)``;
-cycle products are compared in log space with zero factors short-circuited
-exactly.
+Each condition is a family of flux equations, listed once in
+``_balance_equations``: ``classify_state`` evaluates them with the rates at
+``c``, and ``crn.stoch.classify_measure`` with a measure's weighted
+propensities at every state.  Each scalar equation passes iff
+``|lhs - rhs| <= tol * (1 + |lhs| + |rhs|)``; cycle products are compared in
+log space with zero factors short-circuited exactly.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -129,12 +133,6 @@ def is_equilibrium(sys: MassActionSystem, c, tol: float = 1e-9) -> Verdict:
     return _equilibrium(sys.network, c, det_rates(sys, c), tol)[0]
 
 
-def _reaction_pairs(net) -> list[tuple[int, int]]:
-    """Unordered complex pairs connected by at least one reaction."""
-    pairs = {tuple(sorted((r.source, r.target))) for r in net.reactions}
-    return sorted(pairs)
-
-
 def _log_product_mismatch(fwd, bwd, tol, factor_scale):
     """Compare two products of factors in log space; None if they agree,
     else the pair of products (lhs, rhs).
@@ -165,58 +163,97 @@ def _log_product_mismatch(fwd, bwd, tol, factor_scale):
     return as_float(lf), as_float(lb)
 
 
+def _in_order_sum(terms):
+    """Sum accumulated left to right from 0.0, as Python's ``sum`` would;
+    terms may be floats or arrays."""
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
+
+
+@lru_cache(maxsize=512)
+def _balance_equations(net) -> tuple[tuple[str, str, tuple, tuple], ...]:
+    """Every rb, cb, rvb and cyb equation of ``net`` once, in witness order.
+
+    An equation is ``(condition, label, lhs, rhs)`` and a side is a tuple of
+    flux groups ``(shift, reactions)``, the shift a read-only integer
+    vector.  At a state ``c`` a group's flux is
+    the in-order sum of its reactions' rates; for a measure ``mu`` at ``x``
+    it is ``mu(x + shift)`` times the in-order sum of their propensities at
+    ``x + shift``.  A cyb side is the product of its groups' fluxes, every
+    other side their in-order sum.  An absent reaction (the reverse of an
+    irreversible one) is an empty group, and a complex in no reaction has no
+    cb equation.
+    """
+
+    def vector(values):
+        v = np.array(values, dtype=np.int64).reshape(net.n)
+        v.flags.writeable = False  # shared by every caller of the cached table
+        return v
+
+    coeffs = [vector(cx.coeffs) for cx in net.complexes]
+    zero = vector((0,) * net.n)
+
+    def name(i):
+        return net.complexes[i].format(net.species)
+
+    def shift(i, j):
+        return vector(coeffs[j] - coeffs[i])
+
+    def edge(i, j):
+        k = net.edge_index.get((i, j))
+        return () if k is None else (k,)
+
+    equations = []
+    for i, j in sorted({tuple(sorted((r.source, r.target))) for r in net.reactions}):
+        lhs, rhs = ((zero, edge(i, j)),), ((shift(i, j), edge(j, i)),)
+        equations.append(("rb", f"rb:{name(i)}<->{name(j)}", lhs, rhs))
+    for i in range(net.m):
+        outgoing = tuple(k for k, r in enumerate(net.reactions) if r.source == i)
+        incoming = tuple(
+            (shift(i, r.source), (k,)) for k, r in enumerate(net.reactions) if r.target == i
+        )
+        if outgoing or incoming:
+            equations.append(("cb", f"cb:{name(i)}", ((zero, outgoing),), incoming))
+    for xi, (fwd, bwd) in reaction_vector_classes(net).classes.items():
+        equations.append(("rvb", f"rvb:{xi}", ((zero, fwd),), ((vector(xi), bwd),)))
+    for cycle in cycles_of(net):
+        edges = cycle.edges()
+        equations.append((
+            "cyb",
+            f"cyb:{cycle.complexes}",
+            tuple((coeffs[u], edge(u, v)) for u, v in edges),
+            tuple((coeffs[v], edge(v, u)) for u, v in edges),
+        ))
+    return tuple(equations)
+
+
 def classify_state(sys: MassActionSystem, c, tol: float = 1e-9) -> StateBalanceReport:
-    """Evaluate the four balance conditions literally at ``c``."""
+    """Evaluate the four balance conditions literally at ``c``.
+
+    Each condition's witness is its first failing equation in
+    ``_balance_equations`` order.
+    """
     net = sys.network
     c = det_state(c, net.n)
     rates = det_rates(sys, c)
+    flux = rates.tolist()
     state = tuple(float(v) for v in c)
-
-    def rate_of(i: int, j: int) -> float:
-        k = net.edge_index.get((i, j))
-        return float(rates[k]) if k is not None else 0.0
-
-    rb = Verdict.ok()
-    for i, j in _reaction_pairs(net):
-        lhs, rhs = rate_of(i, j), rate_of(j, i)
-        if not _close(lhs, rhs, tol):
-            rb = Verdict.fail(
-                state,
-                f"rb:{net.complexes[i].format(net.species)}<->"
-                f"{net.complexes[j].format(net.species)}",
-                lhs,
-                rhs,
-            )
-            break
-
-    cb = Verdict.ok()
-    for i in range(net.m):
-        out = sum(float(rates[k]) for k, r in enumerate(net.reactions) if r.source == i)
-        inc = sum(float(rates[k]) for k, r in enumerate(net.reactions) if r.target == i)
-        if not _close(out, inc, tol):
-            cb = Verdict.fail(
-                state, f"cb:{net.complexes[i].format(net.species)}", out, inc
-            )
-            break
-
-    rvb = Verdict.ok()
-    for xi, (fwd, bwd) in reaction_vector_classes(net).classes.items():
-        lhs = sum(float(rates[k]) for k in fwd)
-        rhs = sum(float(rates[k]) for k in bwd)
-        if not _close(lhs, rhs, tol):
-            rvb = Verdict.fail(state, f"rvb:{xi}", lhs, rhs)
-            break
-
-    cyb = Verdict.ok()
-    for cycle in cycles_of(net):
-        fwd = [rate_of(a, b) for a, b in cycle.edges()]
-        bwd = [rate_of(b, a) for a, b in cycle.edges()]
-        bad = _log_product_mismatch(fwd, bwd, tol, 1.0)
+    verdicts = dict.fromkeys(("rb", "cb", "rvb", "cyb"), Verdict.ok())
+    for condition, label, lhs, rhs in _balance_equations(net):
+        if verdicts[condition].fails:
+            continue
+        fwd = [_in_order_sum(flux[k] for k in ks) for _, ks in lhs]
+        bwd = [_in_order_sum(flux[k] for k in ks) for _, ks in rhs]
+        if condition == "cyb":
+            bad = _log_product_mismatch(fwd, bwd, tol, 1.0)
+        else:
+            fwd, bwd = _in_order_sum(fwd), _in_order_sum(bwd)
+            bad = None if _close(fwd, bwd, tol) else (fwd, bwd)
         if bad is not None:
-            cyb = Verdict.fail(state, f"cyb:{cycle.complexes}", *bad)
-            break
-
-    return StateBalanceReport(rb, cb, rvb, cyb, *_equilibrium(net, c, rates, tol))
+            verdicts[condition] = Verdict.fail(state, label, *bad)
+    return StateBalanceReport(*verdicts.values(), *_equilibrium(net, c, rates, tol))
 
 
 def system_cycle_balanced(sys: MassActionSystem, log_tol: float = 1e-9) -> bool:

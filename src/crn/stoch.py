@@ -11,8 +11,9 @@ verdict to Fails.
 A set of states is indexed as arrays: the states as an integer array, the
 propensity of every reaction at every state, and the index of every
 reaction's target state among them.  The component search and the
-stationary solve read those arrays, and measure classification evaluates
-each equation family as array operations over its sorted candidate states.
+stationary solve read those arrays.  Measure classification evaluates each
+equation of ``detbal._balance_equations``, and the global-balance equation,
+as array operations over its sorted candidate states.
 
 Scalar balance equations for measures are compared with
 ``|lhs - rhs| <= tol * (flux_scale + |lhs| + |rhs|)`` where ``flux_scale`` is
@@ -27,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     BalanceConsistencyError,
@@ -37,7 +36,7 @@ from .errors import (
     NotClosedError,
     SolveFailureError,
 )
-from .detbal import _log_product_mismatch, reaction_vector_classes
+from .detbal import _balance_equations, _in_order_sum, _log_product_mismatch
 from .graph import cycles_of
 from .kinetics import propensities, propensity
 from .model import (
@@ -309,6 +308,10 @@ def communicating_class(sys: MassActionSystem, seed, box: Box) -> ComponentResul
     the transition graph among them, and the closure flags and exit faces
     come from its out-edges.
     """
+    # imported here: scipy.sparse adds about 0.35 s to a fresh interpreter
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     net = sys.network
     seed = discrete_state(seed, net.n)
     if box.n != net.n:
@@ -371,14 +374,6 @@ def _vector_groups(net) -> list[list[int]]:
     for k, vec in enumerate(net.reaction_vectors.tolist()):
         groups.setdefault(tuple(vec), []).append(k)
     return list(groups.values())
-
-
-def _in_order_sum(columns) -> np.ndarray:
-    """Columnwise sum accumulated left to right, as Python's ``sum`` would."""
-    total = 0.0
-    for col in columns:
-        total = total + col
-    return total
 
 
 def stationary_distribution(
@@ -609,9 +604,11 @@ def classify_measure(
     instances are counted and can only weaken a verdict to Undetermined,
     never flip it.
 
-    Each equation family is evaluated as array operations over its sorted
-    candidate states; the witness of a failing condition is its first
-    failing checked instance in that order.
+    Each equation of ``detbal._balance_equations`` is evaluated as array
+    operations over its sorted candidate states, the states ``x`` for which
+    ``x + shift`` is in the support for some flux group; the witness of a
+    failing condition is its first failing checked instance, equations in
+    table order and states in sorted order.
     """
     net = sys.network
     if domain.n != net.n:
@@ -658,11 +655,11 @@ def classify_measure(
 
     tallies = {name: _ConditionTally(name) for name in ("rb", "cb", "rvb", "cyb", "stationary")}
 
-    def run_instances(name, label, shifts, refs, evaluate):
-        """Candidates are the support shifted by ``shifts``; an instance at x
-        references x shifted by each of ``refs``."""
+    def run_instances(name, label, refs, evaluate):
+        """An instance at x references x shifted by each of ``refs``; the
+        candidates are the support shifted back by each."""
         tally = tallies[name]
-        x = np.concatenate([points + d for d in shifts])
+        x = np.concatenate([points - d for d in refs])
         _, first = np.unique(frame.keys(x), return_index=True)
         x = x[first]
         trusted = np.ones(len(x), dtype=bool)
@@ -677,97 +674,45 @@ def classify_measure(
                 i, lhs, rhs = found
                 tally.witness = Verdict.fail(tuple(x[i].tolist()), label, lhs, rhs)
 
-    def flux(x, *reactions):
-        """mu(x) times the total rate at x of ``reactions`` (None entries are
-        absent reactions)."""
-        w, r = at(x)
-        return w * _in_order_sum(r[:, k] for k in reactions if k is not None)
+    def flux(x, shift, reactions):
+        """mu(x + shift) times the total rate of ``reactions`` at x + shift."""
+        w, r = at(x + shift)
+        return w * _in_order_sum(r[:, k] for k in reactions)
 
-    # reaction balance: one equation per unordered complex pair per state
-    rb_pairs = sorted({tuple(sorted((r.source, r.target))) for r in net.reactions})
-    for i, j in rb_pairs:
-        d = np.subtract(net.complexes[j].coeffs, net.complexes[i].coeffs)
-        k_fwd = net.edge_index.get((i, j))
-        k_bwd = net.edge_index.get((j, i))
-        label = (
-            f"rb:{net.complexes[i].format(net.species)}<->"
-            f"{net.complexes[j].format(net.species)}"
-        )
-        run_instances(
-            "rb", label, (0, -d), (0, d),
-            lambda x, d=d, k_fwd=k_fwd, k_bwd=k_bwd: mismatch(
-                flux(x, k_fwd), flux(x + d, k_bwd)
-            ),
-        )
+    def evaluate(x, condition, lhs, rhs):
+        fwd = [flux(x, *group) for group in lhs]
+        bwd = [flux(x, *group) for group in rhs]
+        if condition != "cyb":
+            return mismatch(_in_order_sum(fwd), _in_order_sum(bwd))
+        # products are compared one instance at a time in log space
+        instances = zip(np.transpose(fwd).tolist(), np.transpose(bwd).tolist())
+        for i, (f, b) in enumerate(instances):
+            bad = _log_product_mismatch(f, b, tol, flux_scale)
+            if bad is not None:
+                return (i, *bad)
+        return None
 
-    # complex balance: one equation per complex per state
-    for i in range(net.m):
-        outgoing = [k for k, r in enumerate(net.reactions) if r.source == i]
-        incoming = [
-            (k, np.subtract(net.complexes[r.source].coeffs, net.complexes[i].coeffs))
-            for k, r in enumerate(net.reactions)
-            if r.target == i
-        ]
-        if not outgoing and not incoming:
-            continue
-
-        run_instances(
-            "cb", f"cb:{net.complexes[i].format(net.species)}",
-            [0] + [-d for _, d in incoming], [0] + [d for _, d in incoming],
-            lambda x, outgoing=outgoing, incoming=incoming: mismatch(
-                flux(x, *outgoing), _in_order_sum(flux(x + d, k) for k, d in incoming)
-            ),
-        )
-
-    # reaction vector balance: one equation per displacement class per state
-    for xi, (fwd, bwd) in reaction_vector_classes(net).classes.items():
-        d = np.array(xi, dtype=np.int64)
-        run_instances(
-            "rvb", f"rvb:{xi}", (0, -d), (0, d),
-            lambda x, d=d, fwd=fwd, bwd=bwd: mismatch(flux(x, *fwd), flux(x + d, *bwd)),
-        )
-
-    # cycle balance: one equation per directed cycle per state, compared
-    # one instance at a time in log space
-    cycles = cycles_of(net)
-    for cycle in cycles:
-        nodes = [np.array(net.complexes[i].coeffs, dtype=np.int64) for i in cycle.complexes]
-        edges = cycle.edges()
-
-        def evaluate(x, nodes=nodes, edges=edges):
-            j = len(edges)
-            fwd = [flux(x + nodes[a], net.edge_index.get((u, v)))
-                   for a, (u, v) in enumerate(edges)]
-            bwd = [flux(x + nodes[(a + 1) % j], net.edge_index.get((v, u)))
-                   for a, (u, v) in enumerate(edges)]
-            instances = zip(np.transpose(fwd).tolist(), np.transpose(bwd).tolist())
-            for i, (f, b) in enumerate(instances):
-                bad = _log_product_mismatch(f, b, tol, flux_scale)
-                if bad is not None:
-                    return (i, *bad)
-            return None
-
-        run_instances(
-            "cyb", f"cyb:{cycle.complexes}", [-y for y in nodes], nodes, evaluate
-        )
+    for condition, label, lhs, rhs in _balance_equations(net):
+        refs = list({tuple(d): d for d, _ in lhs + rhs}.values())
+        run_instances(condition, label, refs, lambda x: evaluate(x, condition, lhs, rhs))
 
     # stationarity: the single global-balance equation per state
     vecs = net.reaction_vectors
 
-    def evaluate(x):
+    def stationarity(x):
         w, r = at(x)
         return mismatch(
-            w * r.sum(axis=1), _in_order_sum(flux(x - vecs[k], k) for k in range(net.r))
+            w * r.sum(axis=1), _in_order_sum(flux(x, -vecs[k], (k,)) for k in range(net.r))
         )
 
-    run_instances("stationary", "stationary", [0, *vecs], [0, *(-vecs)], evaluate)
+    run_instances("stationary", "stationary", [0, *(-vecs)], stationarity)
 
     skipped_total = sum(t.skipped for t in tallies.values())
     return MeasureBalanceReport(
         rb=tallies["rb"].verdict(structurally_empty=net.r == 0),
         cb=tallies["cb"].verdict(structurally_empty=net.r == 0),
         rvb=tallies["rvb"].verdict(structurally_empty=net.r == 0),
-        cyb=tallies["cyb"].verdict(structurally_empty=len(cycles) == 0),
+        cyb=tallies["cyb"].verdict(structurally_empty=not cycles_of(net)),
         stationary=tallies["stationary"].verdict(structurally_empty=net.r == 0),
         boundary_skipped=skipped_total,
     )

@@ -1,11 +1,16 @@
-"""Fixed-step reference integrator for the deterministic rate equations.
+"""Test-only references for the deterministic layer.
 
-A test-only copy of the fourth-order Runge-Kutta loop that
+``rk4_integrate`` is a copy of the fourth-order Runge-Kutta loop that
 ``crn.detbal.integrate`` ran before it moved to one adaptive LSODA solve:
 Python steps of size ``dt`` (the last one shortened to end at ``t_end``),
 no error control, and the mass-action field set to zero wherever a
 coordinate is negative.  The differential tests hold the adaptive solver to
 its endpoints.  ``direct_sum`` lets one reference run serve many systems.
+
+``classify_state`` is a copy of ``crn.detbal.classify_state`` as it was
+before the balance equations moved into one table: one hand-written loop
+per condition.  The differential test requires the same report, witness
+labels and floats included.
 """
 
 from __future__ import annotations
@@ -15,8 +20,16 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.linalg import block_diag
 
+from crn.detbal import (
+    StateBalanceReport,
+    _equilibrium,
+    _log_product_mismatch,
+    reaction_vector_classes,
+)
 from crn.errors import NonFiniteStateError
-from crn.model import MassActionSystem, det_state
+from crn.graph import cycles_of
+from crn.kinetics import det_rates
+from crn.model import MassActionSystem, Verdict, det_state
 
 
 def rk4_integrate(
@@ -76,3 +89,67 @@ def direct_sum(systems):
         reaction_vectors=block_diag(*(net.reaction_vectors for net in nets)),
     )
     return SimpleNamespace(network=net, kappa=np.concatenate([s.kappa for s in systems]))
+
+
+def _close(lhs: float, rhs: float, tol: float) -> bool:
+    return abs(lhs - rhs) <= tol * (1.0 + abs(lhs) + abs(rhs))
+
+
+def _reaction_pairs(net) -> list[tuple[int, int]]:
+    """Unordered complex pairs connected by at least one reaction."""
+    pairs = {tuple(sorted((r.source, r.target))) for r in net.reactions}
+    return sorted(pairs)
+
+
+def classify_state(sys: MassActionSystem, c, tol: float = 1e-9) -> StateBalanceReport:
+    """Evaluate the four balance conditions literally at ``c``."""
+    net = sys.network
+    c = det_state(c, net.n)
+    rates = det_rates(sys, c)
+    state = tuple(float(v) for v in c)
+
+    def rate_of(i: int, j: int) -> float:
+        k = net.edge_index.get((i, j))
+        return float(rates[k]) if k is not None else 0.0
+
+    rb = Verdict.ok()
+    for i, j in _reaction_pairs(net):
+        lhs, rhs = rate_of(i, j), rate_of(j, i)
+        if not _close(lhs, rhs, tol):
+            rb = Verdict.fail(
+                state,
+                f"rb:{net.complexes[i].format(net.species)}<->"
+                f"{net.complexes[j].format(net.species)}",
+                lhs,
+                rhs,
+            )
+            break
+
+    cb = Verdict.ok()
+    for i in range(net.m):
+        out = sum(float(rates[k]) for k, r in enumerate(net.reactions) if r.source == i)
+        inc = sum(float(rates[k]) for k, r in enumerate(net.reactions) if r.target == i)
+        if not _close(out, inc, tol):
+            cb = Verdict.fail(
+                state, f"cb:{net.complexes[i].format(net.species)}", out, inc
+            )
+            break
+
+    rvb = Verdict.ok()
+    for xi, (fwd, bwd) in reaction_vector_classes(net).classes.items():
+        lhs = sum(float(rates[k]) for k in fwd)
+        rhs = sum(float(rates[k]) for k in bwd)
+        if not _close(lhs, rhs, tol):
+            rvb = Verdict.fail(state, f"rvb:{xi}", lhs, rhs)
+            break
+
+    cyb = Verdict.ok()
+    for cycle in cycles_of(net):
+        fwd = [rate_of(a, b) for a, b in cycle.edges()]
+        bwd = [rate_of(b, a) for a, b in cycle.edges()]
+        bad = _log_product_mismatch(fwd, bwd, tol, 1.0)
+        if bad is not None:
+            cyb = Verdict.fail(state, f"cyb:{cycle.complexes}", *bad)
+            break
+
+    return StateBalanceReport(rb, cb, rvb, cyb, *_equilibrium(net, c, rates, tol))

@@ -1,0 +1,84 @@
+"""Byte goldens of the CLI on the corpus networks.
+
+Each case is an argument list, its exit code and the SHA-256 of its stdout,
+recorded in ``cli_goldens.json`` next to this file: ``classify-state`` at
+four states and ``analyze`` from two seed states in the box of side 8, on
+each of the corpus networks.  A changed byte of any output fails its case.
+After a deliberate output change, re-record the file and say so in
+CHANGES.md:
+
+    PYTHONPATH=src python tests/test_cli_goldens.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from crn import corpus
+from crn.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDENS = pathlib.Path(__file__).resolve().parent / "cli_goldens.json"
+
+# Values cycled over a network's species: all ones, unequal positive values,
+# the same with a zero first coordinate, and a spread of magnitudes.
+STATES = (
+    (1.0,),
+    (0.5, 2.25, 1.75),
+    (0.0, 2.25, 1.75),
+    (4.0, 0.25, 7.5),
+)
+SEEDS = ((1,), (2, 0, 1))
+
+
+def _text(names, values) -> str:
+    return ",".join(f"{name}={values[i % len(values)]:g}" for i, name in enumerate(names))
+
+
+def cases() -> list[list[str]]:
+    out = []
+    for name in sorted(corpus.SYSTEMS):
+        path = f"demos/networks/{name}.crn"
+        names = corpus.load(name).network.species.names
+        for state in STATES:
+            out.append(["classify-state", path, "--state", _text(names, state)])
+        seeds = [arg for seed in SEEDS for arg in ("--seed-state", _text(names, seed))]
+        out.append(["analyze", path, *seeds, "--box", "8"])
+    return out
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    """Exit code and SHA-256 of stdout of the CLI on ``argv``."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main([argv[0], str(ROOT / argv[1]), *argv[2:]])
+    return code, hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+
+
+def _load() -> list[dict]:
+    return json.loads(GOLDENS.read_text())
+
+
+def test_golden_cases_are_current():
+    assert [entry["argv"] for entry in _load()] == cases()
+
+
+@pytest.mark.parametrize("argv", cases(), ids=" ".join)
+def test_cli_output_matches_golden(argv):
+    golden = next(entry for entry in _load() if entry["argv"] == argv)
+    assert run(argv) == (golden["exit"], golden["sha256"])
+
+
+if __name__ == "__main__":
+    records = []
+    for argv in cases():
+        code, digest = run(argv)
+        records.append({"argv": argv, "exit": code, "sha256": digest})
+    GOLDENS.write_text("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
+    print(f"recorded {len(records)} cases in {GOLDENS}")

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -238,3 +242,16 @@ def test_classify_measure_default_domain_is_conservative():
     rep = classify_measure(sys, dist, comp.box)
     assert rep.rvb.status is crn.Status.UNDETERMINED
     assert rep.boundary_skipped > 0
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse adds about 0.35 s to a fresh interpreter; only the
+    # component search needs it, and parse, classify-state and simulate
+    # without --compare never search
+    src = str(pathlib.Path(crn.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, crn, crn.cli; print('scipy.sparse' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
