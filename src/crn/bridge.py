@@ -64,143 +64,105 @@ def _support_has_grid(support, degree: int) -> bool:
     return all(tuple(p) in supp for p in product(*axes))
 
 
-class _Arrow:
-    def __init__(self, arrow_id: str):
-        self.arrow_id = arrow_id
-        self.checks = 0
-        self.failures: list[str] = []
-
-    def check(self, ok: bool, detail: str):
-        self.checks += 1
-        if not ok:
-            self.failures.append(detail)
-
-    def entry(self) -> dict:
-        if self.failures:
-            status = "violated"
-        elif self.checks:
-            status = "verified"
-        else:
-            status = "not-applicable"
-        return {
-            "arrow": self.arrow_id,
-            "status": status,
-            "detail": "; ".join(self.failures) if self.failures else f"{self.checks} check(s)",
-        }
+# The implication map, one row per check: ``(arrow, premises, conclusion,
+# detail)``, each premise and the conclusion a literal ``(fact, value)``.  A
+# fact is True, False or None (undetermined).  A row fires when every premise
+# literal is true and its conclusion fact is determined, and fails when that
+# fact has the other value.  System rows read the deterministic facts and run
+# once; component rows also read one classified component's ``stoch:*``
+# statuses, ``active`` and ``rich`` and run once per component.
+#
+# The converse bridge rows (measure balance implies the deterministic
+# property) and cb+rvb=>rb are theorems only when the support is rich enough
+# that no low-degree polynomial vanishes on it; on small components the
+# falling-factorial rates vanish on too many states and balance can hold "by
+# accident", so ``rich`` gates them.
+_ARROWS = {
+    "system": (
+        ("det:rb=>cb", (("det:rb", True),), ("det:cb", True),
+         "reaction balanced but no complex balanced state"),
+        ("det:rb=>rvb", (("det:rb", True),), ("det:rvb_at_rb", True),
+         "reaction balanced state is not reaction vector balanced"),
+        ("det:rb=>cyb", (("det:rb", True),), ("det:cyb", True),
+         "reaction balanced but not cycle balanced"),
+        ("det:cb+cyb=>rb", (("det:cb", True), ("det:cyb", True)), ("det:rb", True),
+         "complex and cycle balanced but no reaction balanced state"),
+    ),
+    "component": (
+        ("stoch:rb=>cb", (("stoch:rb", True),), ("stoch:cb", True), "rb holds but cb fails"),
+        ("stoch:rb=>rvb", (("stoch:rb", True),), ("stoch:rvb", True), "rb holds but rvb fails"),
+        ("stoch:rb=>cyb", (("stoch:rb", True),), ("stoch:cyb", True), "rb holds but cyb fails"),
+        ("stoch:cb+cyb=>rb", (("stoch:cb", True), ("stoch:cyb", True)), ("stoch:rb", True),
+         "cb and cyb hold but rb fails"),
+        ("stoch:cb+rvb=>rb", (("stoch:cb", True), ("stoch:rvb", True), ("rich", True)),
+         ("stoch:rb", True), "cb and rvb hold on rich support but rb fails"),
+        ("bridge:rb", (("det:rb", True),), ("stoch:rb", True),
+         "deterministic rb holds but measure rb fails"),
+        ("bridge:rb", (("stoch:rb", True), ("active", True), ("rich", True)), ("det:rb", True),
+         "measure rb holds on an active component with rich support "
+         "but deterministic rb fails"),
+        ("bridge:rb", (("stoch:rb", False), ("active", True)), ("det:rb", False),
+         "measure rb fails on an active component but deterministic rb holds"),
+        ("bridge:cb", (("det:cb", True),), ("stoch:cb", True),
+         "deterministic cb holds but measure cb fails"),
+        ("bridge:cb", (("stoch:cb", True), ("active", True), ("rich", True)), ("det:cb", True),
+         "measure cb holds on an active component with rich support "
+         "but deterministic cb fails"),
+        ("bridge:cb", (("stoch:cb", False), ("active", True)), ("det:cb", False),
+         "measure cb fails on an active component but deterministic cb holds"),
+        ("bridge:cyb", (("det:cyb", True),), ("stoch:cyb", True),
+         "rate constants are cycle balanced but measure cyb fails"),
+        ("bridge:cyb", (("stoch:cyb", False), ("active", True)), ("det:cyb", False),
+         "measure cyb fails on an active component "
+         "but the rate constants are cycle balanced"),
+    ),
+}
 
 
 def _implications(sys: MassActionSystem, det: dict, components, tol: float) -> list[dict]:
-    """Instance-level checks of the balance implication map.
+    """Evaluate every row of ``_ARROWS``; one entry per arrow, sorted.
 
     ``components`` holds one ``(component, active, measure report, support)``
     tuple per component whose stationary distribution was classified.
     """
     det_rb = det["rb_state"] is not None
-    det_cb = det["cb_state"] is not None
-    det_cyb = det["cyb_system"]
-    arrows = {
-        name: _Arrow(name)
-        for name in (
-            "det:rb=>cb",
-            "det:rb=>rvb",
-            "det:rb=>cyb",
-            "det:cb+cyb=>rb",
-            "stoch:rb=>cb",
-            "stoch:rb=>rvb",
-            "stoch:rb=>cyb",
-            "stoch:cb+cyb=>rb",
-            "stoch:cb+rvb=>rb",
-            "bridge:rb",
-            "bridge:cb",
-            "bridge:cyb",
-        )
+    facts = {
+        "det:rb": det_rb,
+        "det:cb": det["cb_state"] is not None,
+        "det:cyb": det["cyb_system"],
+        "det:rvb_at_rb": det_rb and detbal.classify_state(sys, det["rb_state"], tol).rvb.holds,
     }
-
-    if det_rb:
-        arrows["det:rb=>cb"].check(det_cb, "reaction balanced but no complex balanced state")
-        report = detbal.classify_state(sys, det["rb_state"], tol)
-        arrows["det:rb=>rvb"].check(
-            report.rvb.holds, "reaction balanced state is not reaction vector balanced"
-        )
-        arrows["det:rb=>cyb"].check(det_cyb, "reaction balanced but not cycle balanced")
-    if det_cb and det_cyb:
-        arrows["det:cb+cyb=>rb"].check(
-            det_rb, "complex and cycle balanced but no reaction balanced state"
-        )
-
-    max_source_degree = max(
+    degree = max(
         (sys.network.complexes[r.source].degree for r in sys.network.reactions),
         default=0,
     )
-
+    scopes = [(_ARROWS["system"], facts, "")]
     for comp, active, report, support in components:
-        where = f"component seeded at {comp.seed}"
-        # The converse bridge direction (measure balance implies the
-        # deterministic property) and cb+rvb=>rb are theorems only when the
-        # support is rich enough that no low-degree polynomial vanishes on it;
-        # on small components the falling-factorial rates vanish on too many
-        # states and balance can hold "by accident", so this check gates them.
-        rich_support = _support_has_grid(support, max_source_degree)
+        comp_facts = {**facts, "active": active, "rich": _support_has_grid(support, degree)}
+        for name in ("rb", "cb", "rvb", "cyb"):
+            status = getattr(report, name).status
+            comp_facts[f"stoch:{name}"] = {Status.HOLDS: True, Status.FAILS: False}.get(status)
+        scopes.append((_ARROWS["component"], comp_facts, f"component seeded at {comp.seed}: "))
 
-        if report.rb.holds:
-            for name, v in (("cb", report.cb), ("rvb", report.rvb), ("cyb", report.cyb)):
-                if v.status is not Status.UNDETERMINED:
-                    arrows[f"stoch:rb=>{name}"].check(
-                        v.holds, f"{where}: rb holds but {name} fails"
-                    )
-        if report.cb.holds and report.cyb.holds:
-            if report.rb.status is not Status.UNDETERMINED:
-                arrows["stoch:cb+cyb=>rb"].check(
-                    report.rb.holds, f"{where}: cb and cyb hold but rb fails"
-                )
-        if (
-            report.cb.holds
-            and report.rvb.holds
-            and report.rb.status is not Status.UNDETERMINED
-            and rich_support
-        ):
-            arrows["stoch:cb+rvb=>rb"].check(
-                report.rb.holds, f"{where}: cb and rvb hold on rich support but rb fails"
-            )
+    checks = {row[0]: 0 for rows in _ARROWS.values() for row in rows}
+    failures = {arrow: [] for arrow in checks}
+    for rows, known, where in scopes:
+        for arrow, premises, (fact, value), detail in rows:
+            if known[fact] is None or any(known[f] != v for f, v in premises):
+                continue
+            checks[arrow] += 1
+            if known[fact] != value:
+                failures[arrow].append(where + detail)
 
-        # bridge: deterministic system property vs classified distribution.
-        for name, det_flag, verdict in (
-            ("rb", det_rb, report.rb),
-            ("cb", det_cb, report.cb),
-        ):
-            arrow = arrows[f"bridge:{name}"]
-            if det_flag and verdict.status is not Status.UNDETERMINED:
-                arrow.check(
-                    verdict.holds,
-                    f"{where}: deterministic {name} holds but measure {name} fails",
-                )
-            if verdict.holds and active and rich_support:
-                arrow.check(
-                    det_flag,
-                    f"{where}: measure {name} holds on an active component with "
-                    f"rich support but deterministic {name} fails",
-                )
-            if verdict.fails and active:
-                arrow.check(
-                    not det_flag,
-                    f"{where}: measure {name} fails on an active component "
-                    f"but deterministic {name} holds",
-                )
-
-        arrow = arrows["bridge:cyb"]
-        if det_cyb and report.cyb.status is not Status.UNDETERMINED:
-            arrow.check(
-                report.cyb.holds,
-                f"{where}: rate constants are cycle balanced but measure cyb fails",
-            )
-        if report.cyb.fails and active:
-            arrow.check(
-                not det_cyb,
-                f"{where}: measure cyb fails on an active component "
-                f"but the rate constants are cycle balanced",
-            )
-
-    return [arrows[name].entry() for name in sorted(arrows)]
+    entries = []
+    for arrow in sorted(checks):
+        if failures[arrow]:
+            status, detail = "violated", "; ".join(failures[arrow])
+        else:
+            status = "verified" if checks[arrow] else "not-applicable"
+            detail = f"{checks[arrow]} check(s)"
+        entries.append({"arrow": arrow, "status": status, "detail": detail})
+    return entries
 
 
 def analyze_system(

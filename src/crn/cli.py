@@ -24,12 +24,7 @@ import sys as _sys
 import numpy as np
 
 from . import bridge, detbal, stoch
-from .errors import (
-    CrnError,
-    ImplicationViolationError,
-    NotWeaklyReversibleError,
-    ParseError,
-)
+from .errors import CrnError, NotWeaklyReversibleError, ParseError
 from .model import MassActionSystem, Measure, _plain
 from .parser import format_network, parse_network, parse_state
 from .ssa import SsaConfig, occupancy_measure, tv_distance
@@ -283,9 +278,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"input error: {exc}", file=_sys.stderr)
         return 2
-    except ImplicationViolationError as exc:
-        print(f"implication violated: {exc}", file=_sys.stderr)
-        return 4
     except CrnError as exc:
         print(f"{type(exc).__name__}: {exc}", file=_sys.stderr)
         return 3

@@ -162,15 +162,9 @@ def simple_cycles(
 
 
 @lru_cache(maxsize=512)
-def _cached_cycles(net: ReactionNetwork) -> tuple[DirectedCycle, ...]:
-    return tuple(simple_cycles(net))
-
-
-def cycles_of(net: ReactionNetwork, budget: int = DEFAULT_CYCLE_BUDGET) -> tuple[DirectedCycle, ...]:
+def cycles_of(net: ReactionNetwork) -> tuple[DirectedCycle, ...]:
     """Memoized directed-cycle enumeration at the default minimum length."""
-    if budget != DEFAULT_CYCLE_BUDGET:
-        return tuple(simple_cycles(net, budget=budget))
-    return _cached_cycles(net)
+    return tuple(simple_cycles(net))
 
 
 def active_subnetwork(sys: MassActionSystem, states) -> ReactionNetwork:

@@ -3,7 +3,8 @@
 Each case is an argument list, its exit code and the SHA-256 of its stdout,
 recorded in ``cli_goldens.json`` next to this file: ``classify-state`` at
 four states and ``analyze`` from two seed states in the box of side 8, on
-each of the corpus networks.  A changed byte of any output fails its case.
+each of the corpus networks, plus two ``analyze`` runs whose implication map
+reads violated (exit 4).  A changed byte of any output fails its case.
 After a deliberate output change, re-record the file and say so in
 CHANGES.md:
 
@@ -35,6 +36,12 @@ STATES = (
     (4.0, 0.25, 7.5),
 )
 SEEDS = ((1,), (2, 0, 1))
+# Truncated components on which the map reads violated today (see the strict
+# xfails in test_cli.py); they pin the bytes of violated entries.
+VIOLATED = (
+    ["analyze", "demos/networks/birth_death.crn", "--seed-state", "A=0", "--box", "4"],
+    ["analyze", "demos/networks/six_complex.crn", "--seed-state", "A=0,B=0,C=2", "--box", "8"],
+)
 
 
 def _text(names, values) -> str:
@@ -50,7 +57,7 @@ def cases() -> list[list[str]]:
             out.append(["classify-state", path, "--state", _text(names, state)])
         seeds = [arg for seed in SEEDS for arg in ("--seed-state", _text(names, seed))]
         out.append(["analyze", path, *seeds, "--box", "8"])
-    return out
+    return out + list(VIOLATED)
 
 
 def run(argv: list[str]) -> tuple[int, str]:
