@@ -57,7 +57,6 @@ from .model import (
 from .parser import SourceSpan, format_network, parse_network, parse_state
 from .graph import (
     DirectedCycle,
-    LinkagePartition,
     active_subnetwork,
     deficiency,
     is_reversible,
@@ -65,7 +64,7 @@ from .graph import (
     linkage_classes,
     simple_cycles,
 )
-from .kinetics import det_rates, propensity
+from .kinetics import det_rates
 from .detbal import (
     ReactionVectorClasses,
     StateBalanceReport,
@@ -89,10 +88,8 @@ from .stoch import (
     classify_measure,
     communicating_class,
     component_is_active,
-    is_stationary_measure,
     poisson_product,
     stationary_distribution,
-    transitions,
 )
 from .ssa import SsaConfig, occupancy_measure, ssa_path, tv_distance
 from .bridge import analyze_system

@@ -171,9 +171,12 @@ def analyze_system(
     box: Box | None = None,
     tol: float = 1e-9,
     rvb_starts: int = 32,
-    allow_truncated: bool = True,
 ):
-    """Full analysis bundle; returns (json-ready dict, any_violated)."""
+    """Full analysis bundle; returns (json-ready dict, any_violated).
+
+    A component truncated by ``box`` is solved as the reflected chain (see
+    ``stoch.stationary_distribution``).
+    """
     net = sys.network
     basis, conserved = model.stoichiometric_basis(net)
     det = _det_summary(sys, tol, rvb_starts)
@@ -184,7 +187,7 @@ def analyze_system(
         try:
             comp = stoch.communicating_class(sys, seed, use_box)
             summary = component_summary(sys, comp)
-            dist = stoch.stationary_distribution(sys, comp, allow_truncated=allow_truncated)
+            dist = stoch.stationary_distribution(sys, comp, allow_truncated=True)
             report = stoch.classify_component_measure(sys, comp, dist, tol=tol)
         except CrnError as exc:
             components.append({"seed": list(seed), "error": f"{type(exc).__name__}: {exc}"})

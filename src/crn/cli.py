@@ -274,6 +274,9 @@ def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
+        # with a nan or negative tol every equation fails, with inf every one holds
+        if not (np.isfinite(args.tol) and args.tol > 0):
+            raise ValueError(f"--tol must be finite and positive, got {args.tol}")
         return args.fn(args)
     except ParseError as exc:
         print(f"input error: {exc}", file=_sys.stderr)

@@ -46,7 +46,6 @@ __all__ = [
     "StateBalanceReport",
     "ReactionVectorClasses",
     "reaction_vector_classes",
-    "det_rates",
     "drift",
     "is_equilibrium",
     "classify_state",
@@ -256,7 +255,7 @@ def classify_state(sys: MassActionSystem, c, tol: float = 1e-9) -> StateBalanceR
     return StateBalanceReport(*verdicts.values(), *_equilibrium(net, c, rates, tol))
 
 
-def system_cycle_balanced(sys: MassActionSystem, log_tol: float = 1e-9) -> bool:
+def system_cycle_balanced(sys: MassActionSystem) -> bool:
     """Whether every positive state is cycle balanced.
 
     For mass action this is a property of the rate constants alone: around
@@ -273,7 +272,7 @@ def system_cycle_balanced(sys: MassActionSystem, log_tol: float = 1e-9) -> bool:
             if back == 0.0:
                 return False
             log_bwd += math.log(back)
-        if abs(log_fwd - log_bwd) > log_tol:
+        if abs(log_fwd - log_bwd) > 1e-9:
             return False
     return True
 
@@ -338,11 +337,7 @@ def _class_kernel(sys: MassActionSystem, members: tuple[int, ...]) -> np.ndarray
     return v
 
 
-def solve_complex_balanced(
-    sys: MassActionSystem,
-    residual_tol: float = 1e-7,
-    tol: float = 1e-9,
-) -> np.ndarray | None:
+def solve_complex_balanced(sys: MassActionSystem, tol: float = 1e-9) -> np.ndarray | None:
     """Positive complex balanced state, or None if none exists.
 
     Requires weak reversibility (raises :class:`NotWeaklyReversibleError`
@@ -358,20 +353,20 @@ def solve_complex_balanced(
         return np.ones(0)
     partition = linkage_classes(net)
     log_kernel = np.zeros(net.m)
-    for members in partition.classes:
+    for members in partition:
         v = _class_kernel(sys, members)
         for local, i in enumerate(members):
             log_kernel[i] = math.log(v[local])
     ell = len(partition)
     A = np.zeros((net.m, net.n + ell))
     b = np.zeros(net.m)
-    for cls_id, members in enumerate(partition.classes):
+    for cls_id, members in enumerate(partition):
         for i in members:
             A[i, : net.n] = net.complexes[i].coeffs
             A[i, net.n + cls_id] = -1.0
             b[i] = log_kernel[i]
     u, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if float(np.max(np.abs(A @ u - b))) > residual_tol:
+    if float(np.max(np.abs(A @ u - b))) > 1e-7:
         return None
     c = np.exp(u[: net.n])
     if not classify_state(sys, c, tol).cb.holds:
@@ -379,26 +374,19 @@ def solve_complex_balanced(
     return c
 
 
-def solve_rvb(
-    sys: MassActionSystem,
-    lo: float = 1e-2,
-    hi: float = 1e2,
-    starts: int = 32,
-    max_iter: int = 100,
-    tol: float = 1e-10,
-    dedup_tol: float = 1e-6,
-    seed: int = 0,
-) -> list[np.ndarray]:
+def solve_rvb(sys: MassActionSystem, starts: int = 32) -> list[np.ndarray]:
     """Positive reaction vector balanced states found by multi-start Newton.
 
     The search is heuristic (the condition admits several isolated solutions
     or whole manifolds of them), so the returned list is deduplicated and
-    verified but not guaranteed exhaustive.  Starts are stratified
-    log-uniform samples of the search box ``[lo, hi]**n`` from a fixed-seed
-    generator, so results are reproducible; solutions are only accepted
-    inside the box, which keeps rate magnitudes well above the tolerance
-    floor and excludes the near-boundary region where every equation is
-    trivially sub-tolerance.
+    verified but not guaranteed exhaustive.  ``starts`` Newton runs start
+    from stratified log-uniform samples of the search box ``[1e-2, 1e2]**n``
+    drawn from a fixed-seed generator, so results are reproducible;
+    solutions are only accepted inside the box, which keeps rate magnitudes
+    well above the tolerance floor and excludes the near-boundary region
+    where every equation is trivially sub-tolerance.  A solution must bring
+    every raw class imbalance to 1e-10 and pass ``classify_state``'s rvb
+    check; solutions closer than 1e-6 to a kept one are dropped.
     """
     net = sys.network
     classes = reaction_vector_classes(net).classes
@@ -427,7 +415,8 @@ def solve_rvb(
             J = signs @ (p[:, None] * Y) - np.outer(G, p @ Y)
         return G, J
 
-    rng = np.random.default_rng(seed)
+    lo, hi = 1e-2, 1e2  # the search box
+    rng = np.random.default_rng(0)
     span = math.log(hi) - math.log(lo)
     u0s = np.empty((starts, net.n))
     for j in range(net.n):
@@ -437,7 +426,7 @@ def solve_rvb(
     found: list[np.ndarray] = []
     for u in u0s:
         u = u.copy()
-        for _ in range(max_iter):
+        for _ in range(100):
             G, J = scaled_residual_and_jacobian(u)
             if not np.all(np.isfinite(G)) or float(np.max(np.abs(G))) <= 1e-15:
                 break
@@ -454,7 +443,7 @@ def solve_rvb(
             else:
                 break
         F = raw_residual(u)
-        if not (np.all(np.isfinite(F)) and float(np.max(np.abs(F))) <= tol):
+        if not (np.all(np.isfinite(F)) and float(np.max(np.abs(F))) <= 1e-10):
             continue
         c = np.exp(u)
         if np.any(c < lo) or np.any(c > hi):
@@ -465,7 +454,7 @@ def solve_rvb(
     found.sort(key=lambda c: tuple(c))
     kept: list[np.ndarray] = []
     for c in found:
-        if all(float(np.linalg.norm(c - other)) > dedup_tol for other in kept):
+        if all(float(np.linalg.norm(c - other)) > 1e-6 for other in kept):
             kept.append(c)
     return kept
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CycleBudgetExceededError, EmptyNetworkError
-from .kinetics import det_rates, propensity
+from .kinetics import det_rates, propensities
 from .model import (
     Complex,
     MassActionSystem,
@@ -21,21 +21,10 @@ from .model import (
     SpeciesTable,
     build_network,
     empty_network,
-    is_discrete_state,
-    stoichiometric_dimension,
+    stoichiometric_basis,
 )
 
 DEFAULT_CYCLE_BUDGET = 10**6
-
-
-@dataclass(frozen=True)
-class LinkagePartition:
-    """Connected components of the undirected reaction graph."""
-
-    classes: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.classes)
 
 
 @dataclass(frozen=True)
@@ -80,17 +69,20 @@ def _reach(adj, start: int, seen: list[bool]) -> list[int]:
     return found
 
 
-def linkage_classes(net: ReactionNetwork) -> LinkagePartition:
-    """Connected components of (complexes, reactions + reversed reactions)."""
+def linkage_classes(net: ReactionNetwork) -> tuple[tuple[int, ...], ...]:
+    """Connected components of (complexes, reactions + reversed reactions).
+
+    Each class is a sorted tuple of complex indices; classes are ordered by
+    their smallest complex.
+    """
     adj: list[set[int]] = [set() for _ in range(net.m)]
     for rxn in net.reactions:
         adj[rxn.source].add(rxn.target)
         adj[rxn.target].add(rxn.source)
     seen = [False] * net.m
-    classes = [
+    return tuple(
         tuple(sorted(_reach(adj, start, seen))) for start in range(net.m) if not seen[start]
-    ]
-    return LinkagePartition(tuple(classes))
+    )
 
 
 def is_reversible(net: ReactionNetwork) -> bool:
@@ -111,24 +103,22 @@ def deficiency(net: ReactionNetwork) -> int:
     """m - (number of linkage classes) - dim(stoichiometric subspace)."""
     if net.is_empty:
         raise EmptyNetworkError("deficiency is undefined for the empty network")
-    value = net.m - len(linkage_classes(net)) - stoichiometric_dimension(net)
+    value = net.m - len(linkage_classes(net)) - len(stoichiometric_basis(net)[0])
     assert value >= 0
     return value
 
 
 def simple_cycles(
     net: ReactionNetwork,
-    min_len: int = 3,
     budget: int = DEFAULT_CYCLE_BUDGET,
 ) -> list[DirectedCycle]:
-    """All directed simple cycles with at least ``min_len`` complexes.
+    """All directed simple cycles of at least 3 complexes.
 
     Each cycle is emitted once, rotated so its smallest complex index comes
-    first; the output is sorted by (length, complex tuple).  Raises
-    :class:`CycleBudgetExceededError` beyond ``budget`` cycles.
+    first; the output is sorted by (length, complex tuple).  A reversible
+    pair is not a cycle.  Raises :class:`CycleBudgetExceededError` beyond
+    ``budget`` cycles.
     """
-    if min_len < 3:
-        raise ValueError("min_len must be at least 3")
     out = _out_neighbors(net)
     cycles: list[DirectedCycle] = []
     for root in range(net.m):
@@ -141,7 +131,7 @@ def simple_cycles(
             found_child = False
             for nxt in iters[-1]:
                 if nxt == root:
-                    if len(path) >= min_len:
+                    if len(path) >= 3:
                         cycles.append(DirectedCycle(tuple(path)))
                         if len(cycles) > budget:
                             raise CycleBudgetExceededError(
@@ -163,7 +153,7 @@ def simple_cycles(
 
 @lru_cache(maxsize=512)
 def cycles_of(net: ReactionNetwork) -> tuple[DirectedCycle, ...]:
-    """Memoized directed-cycle enumeration at the default minimum length."""
+    """Memoized directed-cycle enumeration within the default budget."""
     return tuple(simple_cycles(net))
 
 
@@ -179,12 +169,10 @@ def active_subnetwork(sys: MassActionSystem, states) -> ReactionNetwork:
     states = list(states)
     if not states:
         raise ValueError("need at least one state")
-    active: set[int] = set()
-    for x in states:
-        rates = propensity(sys, x) if is_discrete_state(x) else det_rates(sys, x)
-        active.update(int(k) for k in np.nonzero(rates > 0)[0])
-        if len(active) == net.r:
-            break
+    counts = [x for x in states if isinstance(x, tuple)]
+    det = [det_rates(sys, c) for c in states if not isinstance(c, tuple)]
+    rates = np.vstack([propensities(sys, counts), *det])
+    active = np.flatnonzero((rates > 0).any(axis=0)).tolist()
     if not active:
         return empty_network()
     used_complexes = sorted(
@@ -204,6 +192,6 @@ def active_subnetwork(sys: MassActionSystem, states) -> ReactionNetwork:
 
     new_reactions = [
         Reaction(pos[net.reactions[k].source], pos[net.reactions[k].target])
-        for k in sorted(active)
+        for k in active
     ]
     return build_network(table, new_complexes, new_reactions)

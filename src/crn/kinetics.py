@@ -73,14 +73,3 @@ def propensities(sys: MassActionSystem, states) -> np.ndarray:
         rates[feasible[:, k], k] = sys.kappa[k] * prod[feasible[:, k]].astype(float)
     return rates
 
-
-def propensity(sys: MassActionSystem, x) -> np.ndarray:
-    """Stochastic mass-action propensities at count vector ``x``.
-
-    Returns an array aligned with ``sys.network.reactions``; a reaction with
-    ``x`` not componentwise >= its source complex has propensity zero.
-    """
-    x = tuple(int(v) for v in x)
-    if len(x) != sys.network.n:
-        raise ValueError(f"state has length {len(x)}, expected {sys.network.n}")
-    return propensities(sys, [x])[0]

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import (
     DuplicateReactionError,
-    EmptySupportError,
     OrphanComplexError,
     SelfLoopError,
     UnknownReactionError,
@@ -308,11 +307,6 @@ def conserved_matrix(net: ReactionNetwork) -> np.ndarray:
     return np.array([[float(v) for v in w] for w in conserved])
 
 
-def stoichiometric_dimension(net: ReactionNetwork) -> int:
-    basis, _ = stoichiometric_basis(net)
-    return len(basis)
-
-
 # ---------------------------------------------------------------------------
 # states
 # ---------------------------------------------------------------------------
@@ -333,10 +327,6 @@ def discrete_state(values, n: int | None = None) -> tuple[int, ...]:
     if n is not None and len(out) != n:
         raise ValueError(f"state has length {len(out)}, expected {n}")
     return out
-
-
-def is_discrete_state(x) -> bool:
-    return isinstance(x, tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +398,6 @@ class Measure:
 
     def support(self) -> list[tuple[int, ...]]:
         return sorted(x for x, w in self.weights.items() if w > 0)
-
-    def normalize(self) -> "Measure":
-        z = self.total()
-        if z <= 0:
-            raise EmptySupportError("cannot normalize a measure with zero total mass")
-        return Measure({x: w / z for x, w in self.weights.items() if w > 0}, normalized=True)
-
 
 # ---------------------------------------------------------------------------
 # verdicts

@@ -269,7 +269,7 @@ def parse_state(text: str, species: SpeciesTable, discrete: bool = False):
     """Parse ``"A=1.5,B=2"`` into a state vector over ``species``.
 
     Unlisted species default to 0.  With ``discrete=True`` the result is a
-    tuple of ints and fractional values are rejected.
+    tuple of ints, and fractional and non-finite values are rejected.
     """
     values = {name: 0.0 for name in species.names}
     assigned: set[str] = set()
@@ -290,7 +290,7 @@ def parse_state(text: str, species: SpeciesTable, discrete: bool = False):
         counts = []
         for name in species.names:
             v = values[name]
-            if v != int(v):
+            if not np.isfinite(v) or v != int(v):
                 raise NonIntegerCountError(f"count for {name} must be an integer, got {v}")
             counts.append(int(v))
         return tuple(counts)

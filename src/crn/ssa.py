@@ -28,6 +28,8 @@ class SsaConfig:
     def __post_init__(self):
         if not self.t_end > 0:
             raise ValueError("t_end must be positive")
+        if not np.isfinite(self.t_end):
+            raise ValueError("t_end must be finite")
         if self.burn_in is not None and not (0 <= self.burn_in < self.t_end):
             raise ValueError("burn_in must satisfy 0 <= burn_in < t_end")
 

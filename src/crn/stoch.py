@@ -36,9 +36,14 @@ from .errors import (
     NotClosedError,
     SolveFailureError,
 )
-from .detbal import _balance_equations, _in_order_sum, _log_product_mismatch
+from .detbal import (
+    _balance_equations,
+    _in_order_sum,
+    _log_product_mismatch,
+    reaction_vector_classes,
+)
 from .graph import cycles_of
-from .kinetics import propensities, propensity
+from .kinetics import propensities
 from .model import (
     MassActionSystem,
     Measure,
@@ -51,15 +56,12 @@ __all__ = [
     "Box",
     "ComponentResult",
     "MeasureBalanceReport",
-    "propensity",
-    "transitions",
     "communicating_class",
     "stationary_distribution",
     "poisson_product",
     "classify_measure",
     "classify_component_measure",
     "classification_domain",
-    "is_stationary_measure",
     "component_is_active",
 ]
 
@@ -83,8 +85,8 @@ class Box:
             raise ValueError(f"box has lower > upper: {self}")
 
     @classmethod
-    def cube(cls, n: int, upper: int, lower: int = 0) -> "Box":
-        return cls((lower,) * n, (upper,) * n)
+    def cube(cls, n: int, upper: int) -> "Box":
+        return cls((0,) * n, (upper,) * n)
 
     @property
     def n(self) -> int:
@@ -125,22 +127,6 @@ class ComponentResult:
     @property
     def state_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.states)
-
-
-def transitions(sys: MassActionSystem, x) -> list[tuple[tuple[int, ...], float]]:
-    """(target, rate) for every reaction active at ``x``, in reaction order.
-
-    Rates of reactions with the same target are kept separate.
-    """
-    x = discrete_state(x, sys.network.n)
-    rates = propensity(sys, x)
-    out = []
-    for k in range(sys.network.r):
-        if rates[k] > 0:
-            vec = sys.network.reaction_vectors[k]
-            target = tuple(int(v) + int(d) for v, d in zip(x, vec))
-            out.append((target, float(rates[k])))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +175,11 @@ def _spread(terms, t_lo, t_hi) -> tuple[int, int]:
     )
 
 
-def _tighten(coef, lo, hi, t_lo, t_hi, rounds: int = 64):
+def _tighten(coef, lo, hi, t_lo, t_hi):
     """Shrink the ranges ``t_lo <= t <= t_hi`` in place by interval
-    propagation over the constraints ``lo[j] <= sum_a t[a] * coef[a][j] <= hi[j]``."""
-    for _ in range(rounds):
+    propagation over the constraints ``lo[j] <= sum_a t[a] * coef[a][j] <= hi[j]``,
+    for at most 64 rounds."""
+    for _ in range(64):
         changed = False
         for j in range(len(lo)):
             terms = [(a, c[j]) for a, c in enumerate(coef) if c[j]]
@@ -368,14 +355,6 @@ def component_is_active(sys: MassActionSystem, component: ComponentResult) -> bo
     return bool(np.all(np.any(rates > 0, axis=0)))
 
 
-def _vector_groups(net) -> list[list[int]]:
-    """Reactions grouped by reaction vector, each group in reaction order."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for k, vec in enumerate(net.reaction_vectors.tolist()):
-        groups.setdefault(tuple(vec), []).append(k)
-    return list(groups.values())
-
-
 def stationary_distribution(
     sys: MassActionSystem,
     component: ComponentResult,
@@ -409,7 +388,8 @@ def stationary_distribution(
     kept = (all_rates > 0) & (targets >= 0)
     rates = np.where(kept, all_rates, 0.0)
     src, dst, val = [], [], []
-    for group in _vector_groups(sys.network):
+    classes = reaction_vector_classes(sys.network).classes.values()
+    for group in (g for pair in classes for g in pair if g):
         total = _in_order_sum(rates[:, k] for k in group)
         (rows,) = np.nonzero(total > 0)
         src.append(rows)
@@ -727,15 +707,3 @@ def classify_component_measure(
     """Classify a component's measure with the component-derived domain."""
     domain, faces = classification_domain(sys, component)
     return classify_measure(sys, mu, domain, tol=tol, truncation_faces=faces)
-
-
-def is_stationary_measure(
-    sys: MassActionSystem,
-    mu: Measure,
-    domain: Box,
-    tol: float = 1e-9,
-    truncation_faces: frozenset[tuple[int, int]] | None = None,
-) -> Verdict:
-    """Verdict for the global-balance equation alone."""
-    report = classify_measure(sys, mu, domain, tol=tol, truncation_faces=truncation_faces)
-    return report.stationary

@@ -234,6 +234,28 @@ def test_simulate_absorbing_point_mass(capsys):
     assert payload["occupancy"] == [{"p": 1, "state": [2, 0]}]
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--seed-state", "A=1e400"],
+    ["stationary", "--seed-state", "A=1e400", "--allow-truncated"],
+    ["simulate", "--init", "A=1e400", "--t-end", "1", "--seed", "0"],
+])
+def test_non_finite_count_is_an_input_error(capsys, argv):
+    command, *rest = argv
+    assert main([command, str(NETWORKS / "birth_death.crn"), *rest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: count for A must be an integer, got inf\n"
+
+
+def test_infinite_horizon_is_an_input_error(capsys):
+    code = main([
+        "simulate", str(NETWORKS / "birth_death.crn"), "--init", "A=0",
+        "--t-end", "inf", "--seed", "0",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "input error: t_end must be finite\n"
+
+
 # command -> (network file and arguments, keys the summary must print)
 PRETTY_CASES = {
     "parse": (["triangle.crn"], ["canonical"]),
@@ -263,6 +285,16 @@ def test_pretty_mode_runs(capsys, command):
     assert code == 0
     for key in keys:
         assert key in out
+
+
+@pytest.mark.parametrize("command", list(PRETTY_CASES))
+def test_tol_must_be_finite_and_positive(capsys, command):
+    (name, *rest), _ = PRETTY_CASES[command]
+    for tol in ("nan", "inf", "-inf", "0", "-1e-9"):
+        assert main([command, str(NETWORKS / name), *rest, f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: --tol must be finite and positive")
 
 
 def test_module_entry_point():

@@ -30,7 +30,7 @@ def test_linkage_classes_examples():
     net = parse_network(INTRO).network
     part = linkage_classes(net)
     assert len(part) == 2
-    assert sorted(part.classes) == linkage_oracle(net)
+    assert sorted(part) == linkage_oracle(net)
 
     sq = crn.corpus.load("square").network
     assert len(linkage_classes(sq)) == 1

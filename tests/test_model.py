@@ -183,7 +183,6 @@ def test_measure_validation():
         crn.Measure({(0,): 0.7}, normalized=True)
     m = crn.Measure({(0,): 0.5, (1,): 0.25, (2,): 0.0})
     assert m.support() == [(0,), (1,)]
-    assert m.normalize().normalized
 
 
 def test_verdict_witness_invariant():

@@ -95,8 +95,9 @@ def test_parse_state():
     assert parse_state("", species).tolist() == [0.0, 0.0]
     assert parse_state("A=2,B=3", species, discrete=True) == (2, 3)
     assert parse_state("A=-1", species, discrete=True) == (-1, 0)
-    with pytest.raises(NonIntegerCountError):
-        parse_state("A=1.5", species, discrete=True)
+    for text in ("A=1.5", "A=1e400", "B=-1e400"):
+        with pytest.raises(NonIntegerCountError):
+            parse_state(text, species, discrete=True)
     with pytest.raises(UnknownSpeciesError):
         parse_state("Z=1", species)
     with pytest.raises(ParseError):

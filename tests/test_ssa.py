@@ -50,6 +50,14 @@ def test_holding_time_birth_death_small_sample():
     assert abs(float(np.mean(times)) - 1.0) < 0.2
 
 
+def test_config_needs_a_finite_positive_horizon():
+    for t_end in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            SsaConfig(seed=0, t_end=t_end)
+    with pytest.raises(ValueError, match="finite"):
+        SsaConfig(seed=0, t_end=math.inf, burn_in=1.0)
+
+
 def test_path_explosion_guard():
     sys = parse_network("0 <-> A : 1, 1")
     with pytest.raises(PathExplosionError):

@@ -14,12 +14,10 @@ from crn import (
     classify_measure,
     communicating_class,
     component_is_active,
-    is_stationary_measure,
     parse_network,
     poisson_product,
-    propensity,
+    reaction_vector_classes,
     stationary_distribution,
-    transitions,
     tv_distance,
 )
 from crn.errors import (
@@ -27,7 +25,9 @@ from crn.errors import (
     EmptySupportError,
     NotClosedError,
 )
+from crn.kinetics import propensities
 
+import reference_stoch as ref
 from helpers import stationary_oracle
 
 
@@ -36,7 +36,7 @@ ACR = crn.corpus.ABSOLUTE_CONCENTRATION
 
 def test_propensity_falling_factorials():
     sys = parse_network("2A <-> 3A : 6, 1")
-    rates = propensity(sys, (3,))
+    rates = propensities(sys, [(3,)])[0]
     net = sys.network
     by_label = {
         net.complexes[r.source].format(net.species): rates[k]
@@ -48,25 +48,25 @@ def test_propensity_falling_factorials():
 
 def test_propensity_indicator_and_empty_complex():
     sys = parse_network("0 -> A : 6\n2A -> A : 1")
-    rates = propensity(sys, (0,))
-    assert rates.tolist() == [6.0, 0.0]
-    assert propensity(sys, (-2,)).tolist() == [0.0, 0.0]
+    rates = propensities(sys, [(0,), (-2,)])
+    assert rates.tolist() == [[6.0, 0.0], [0.0, 0.0]]
 
 
-def test_transitions_keep_reaction_identity():
+def test_moves_keep_reaction_identity():
     sys = parse_network("0 <-> A : 1, 1")
-    assert transitions(sys, (2,)) == [((3,), 1.0), ((1,), 2.0)]
+    assert propensities(sys, [(2,)]).tolist() == [[1.0, 2.0]]
+    assert sys.network.reaction_vectors.tolist() == [[1], [-1]]
     # absorbing state: nothing
     acr = parse_network(ACR)
-    assert transitions(acr, (2, 0)) == []
+    assert not propensities(acr, [(2, 0)]).any()
 
 
-def test_transitions_stoch_rvb_plus_one_rate():
+def test_moves_stoch_rvb_plus_one_rate():
     sys = parse_network(crn.corpus.STOCH_RVB_ONLY)
-    moves = transitions(sys, (1,))
-    up_one = [rate for target, rate in moves if target == (2,)]
+    up_one, _ = reaction_vector_classes(sys.network).classes[(1,)]
     assert len(up_one) == 2  # two distinct reactions, kept separate
-    assert sum(up_one) == 2.0  # total +1 rate is x+1 at x=1
+    rates = propensities(sys, [(1,)])[0]
+    assert sum(rates[k] for k in up_one) == 2.0  # total +1 rate is x+1 at x=1
 
 
 def test_communicating_class_acr():
@@ -108,7 +108,7 @@ def test_stationary_distribution_monomolecular_pair():
         assert abs(dist(x) - p) < 1e-12
     oracle = stationary_oracle(
         comp.states,
-        {x: [t for t in transitions(sys, x) if t[0] in comp.state_set] for x in comp.states},
+        {x: [t for t in ref.transitions(sys, x) if t[0] in comp.state_set] for x in comp.states},
     )
     assert max(abs(dist(x) - oracle[x]) for x in comp.states) < 1e-10
 
@@ -208,8 +208,8 @@ def test_is_stationary_uniform_fails():
     comp = communicating_class(sys, (0,), Box.cube(1, 20))
     uniform = Measure({(x,): 1.0 / 21.0 for x in range(21)}, normalized=True)
     domain, faces = crn.classification_domain(sys, comp)
-    verdict = is_stationary_measure(sys, uniform, domain, truncation_faces=faces)
-    assert verdict.fails
+    report = classify_measure(sys, uniform, domain, truncation_faces=faces)
+    assert report.stationary.fails
 
 
 def test_is_stationary_poisson_holds():
@@ -217,7 +217,7 @@ def test_is_stationary_poisson_holds():
     comp = communicating_class(sys, (0,), Box.cube(1, 40))
     dist = stationary_distribution(sys, comp, allow_truncated=True)
     domain, faces = crn.classification_domain(sys, comp)
-    assert is_stationary_measure(sys, dist, domain, truncation_faces=faces).holds
+    assert classify_measure(sys, dist, domain, truncation_faces=faces).stationary.holds
 
 
 def test_six_complex_component_slices():
