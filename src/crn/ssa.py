@@ -1,5 +1,11 @@
 """Exact stochastic simulation (direct method) and occupancy estimation.
 
+Rates come from :func:`crn.kinetics.propensities`, the same definition the
+stationary solver reads, evaluated once per visited state (with that
+state's one-jump successors) and memoized for the length of one path.  A
+state off the nonnegative orthant has no positive rate, so a path started
+there stays put.
+
 Randomness comes from numpy's counter-based Philox generator keyed by the
 64-bit seed, so paths are bit-reproducible across runs and platforms.
 Replicas should use ``seed + replica_index``.
@@ -12,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNormalizedError, PathExplosionError
+from .kinetics import propensities
 from .model import MassActionSystem, Measure, discrete_state
 
 __all__ = ["SsaConfig", "ssa_path", "occupancy_measure", "tv_distance"]
@@ -41,43 +48,19 @@ class SsaConfig:
         return SsaConfig(self.seed + index, self.t_end, self.burn_in)
 
 
-def _rate_evaluator(sys: MassActionSystem):
-    """Pure-Python propensity evaluation, tuned for the hot loop."""
-    sources = [
-        [(i, int(y)) for i, y in enumerate(row) if y]
-        for row in sys.network.source_matrix
-    ]
-    kappa = list(sys.kappa)
-
-    def rates(x):
-        out = []
-        for k, needs in enumerate(sources):
-            prod = 1
-            for i, y in needs:
-                xi = x[i]
-                if xi < y:
-                    prod = 0
-                    break
-                for j in range(y):
-                    prod *= xi - j
-                if prod == 0:
-                    break
-            out.append(kappa[k] * prod if prod else 0.0)
-        return out
-
-    return rates
-
-
 def _events(sys: MassActionSystem, x0, cfg: SsaConfig, jump_cap: int):
     """Yields (event_time, new_state) pairs until t_end or absorption."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed & (2**64 - 1))))
-    rates = _rate_evaluator(sys)
     vectors = [tuple(int(v) for v in row) for row in sys.network.reaction_vectors]
+    rows: dict[tuple[int, ...], list[float]] = {}
     x = discrete_state(x0, sys.network.n)
     t = 0.0
     jumps = 0
     while True:
-        a = rates(x)
+        if x not in rows:
+            batch = [x] + [tuple(v + d for v, d in zip(x, vec)) for vec in vectors]
+            rows.update(zip(batch, propensities(sys, batch).tolist()))
+        a = rows[x]
         total = sum(a)
         if total <= 0.0:
             return

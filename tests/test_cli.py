@@ -247,6 +247,22 @@ def test_non_finite_count_is_an_input_error(capsys, argv):
     assert captured.err == "input error: count for A must be an integer, got inf\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--seed-state", "A=0"],
+    ["stationary", "--seed-state", "A=0", "--allow-truncated"],
+    ["simulate", "--init", "A=0", "--t-end", "1", "--seed", "0", "--compare"],
+])
+@pytest.mark.parametrize("box", ["99999999999999999999", "9223372036854775808"])
+def test_box_beyond_int64_is_an_input_error(capsys, argv, box):
+    command, *rest = argv
+    assert main([command, str(NETWORKS / "birth_death.crn"), *rest, "--box", box]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"input error: box bound outside the signed 64-bit range in {box!r}\n"
+    )
+
+
 def test_infinite_horizon_is_an_input_error(capsys):
     code = main([
         "simulate", str(NETWORKS / "birth_death.crn"), "--init", "A=0",

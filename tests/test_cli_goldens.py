@@ -4,7 +4,10 @@ Each case is an argument list, its exit code and the SHA-256 of its stdout,
 recorded in ``cli_goldens.json`` next to this file: ``classify-state`` at
 four states and ``analyze`` from two seed states in the box of side 8, on
 each of the corpus networks, plus two ``analyze`` runs whose implication map
-reads violated (exit 4).  A changed byte of any output fails its case.
+reads violated (exit 4); then, per corpus network, one seeded ``simulate
+--compare`` path (27 to 828 jumps) and one truncated ``stationary
+--compare-poisson`` solve in the box of side 8, and one plain ``simulate``
+on a transient start.  A changed byte of any output fails its case.
 After a deliberate output change, re-record the file and say so in
 CHANGES.md:
 
@@ -36,12 +39,19 @@ STATES = (
     (4.0, 0.25, 7.5),
 )
 SEEDS = ((1,), (2, 0, 1))
+# Start of the simulate and stationary cases.  The second coordinate is 1 so
+# that semi_open and stoch_rvb_two_species start on their recurrent slice.
+START = (3, 1)
 # Truncated components on which the map reads violated today (see the strict
 # xfails in test_cli.py); they pin the bytes of violated entries.
 VIOLATED = (
     ["analyze", "demos/networks/birth_death.crn", "--seed-state", "A=0", "--box", "4"],
     ["analyze", "demos/networks/six_complex.crn", "--seed-state", "A=0,B=0,C=2", "--box", "8"],
 )
+# From START the class of absolute_concentration is transient, so its
+# ``--compare`` case exits 3 with no output; this run pins its path instead.
+TRANSIENT = ["simulate", "demos/networks/absolute_concentration.crn", "--init", "A=3,B=1",
+             "--t-end", "20", "--seed", "7"]
 
 
 def _text(names, values) -> str:
@@ -57,7 +67,16 @@ def cases() -> list[list[str]]:
             out.append(["classify-state", path, "--state", _text(names, state)])
         seeds = [arg for seed in SEEDS for arg in ("--seed-state", _text(names, seed))]
         out.append(["analyze", path, *seeds, "--box", "8"])
-    return out + list(VIOLATED)
+    out += VIOLATED
+    for name in sorted(corpus.SYSTEMS):
+        path = f"demos/networks/{name}.crn"
+        start = _text(corpus.load(name).network.species.names, START)
+        out.append(["simulate", path, "--init", start, "--t-end", "20", "--seed", "7", "--compare"])
+        out.append(
+            ["stationary", path, "--seed-state", start, "--box", "8",
+             "--allow-truncated", "--compare-poisson"]
+        )
+    return out + [TRANSIENT]
 
 
 def run(argv: list[str]) -> tuple[int, str]:

@@ -16,6 +16,15 @@ def test_absorbing_initial_state():
     assert occ.weights == {(2, 0): 1.0}
 
 
+def test_start_off_the_orthant_is_absorbing():
+    # every propensity vanishes off the orthant, 0 -> A included, as in
+    # test_communicating_class_negative_singleton
+    sys = parse_network(crn.corpus.BIRTH_DEATH)
+    cfg = SsaConfig(seed=0, t_end=10.0)
+    assert ssa_path(sys, (-1,), cfg) == [(0.0, (-1,))]
+    assert occupancy_measure(sys, (-1,), cfg).weights == {(-1,): 1.0}
+
+
 def test_path_reproducible():
     sys = parse_network("0 <-> A : 1, 1")
     cfg = SsaConfig(seed=7, t_end=25.0)
