@@ -87,7 +87,6 @@ def _parse_box(text: str | None, n: int) -> Box | None:
         values = [int(p) for p in parts]
     except ValueError:
         raise ParseError(f"malformed box {text!r}")
-    # the stoch layer holds states as int64 arrays
     if not all(-(2**63) <= v < 2**63 for v in values):
         raise ParseError(f"box bound outside the signed 64-bit range in {text!r}")
     if len(values) == 1:

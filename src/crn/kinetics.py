@@ -9,8 +9,6 @@ orthant are therefore absorbing.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .model import MassActionSystem
@@ -54,22 +52,17 @@ def propensities(sys: MassActionSystem, states) -> np.ndarray:
     except OverflowError:
         x = np.asarray(states, dtype=object)
     x = x.reshape(len(x), net.n)
-    rates = np.zeros((len(x), net.r))
     if not len(x) or not net.r:
-        return rates
-    y = net.source_matrix
-    feasible = (x[:, None, :] >= y[None, :, :]).all(axis=2)
-    x = np.maximum(x, 0)
-    top = [int(v) for v in x.max(axis=0)]
-    for k in range(net.r):
-        y_k = [int(v) for v in y[k]]
-        bound = math.prod(max(t, yi) ** yi for t, yi in zip(top, y_k))
-        exact = np.int64 if bound < 2**63 else object
-        prod = np.ones(len(x), dtype=exact)
-        for i in np.flatnonzero(y_k):
-            xi = x[:, i].astype(exact)
-            for j in range(y_k[i]):
-                prod = prod * (xi - j)
-        rates[feasible[:, k], k] = sys.kappa[k] * prod[feasible[:, k]].astype(float)
-    return rates
-
+        return np.zeros((len(x), net.r))
+    species, weight, offset, starts, degree = net.source_factors
+    inside = None
+    if x.min() < 0:  # zero the rows off the orthant, and their rates below
+        inside = (x.min(axis=1) >= 0)[:, None]
+        x = x * inside
+    if x.dtype != object and int(x.max()) ** degree >= 2**63:
+        x = x.astype(object)
+    # x_i - j runs down from x_i and meets 0 before any negative factor, so
+    # x_i < y_i gives a zero product and partial products stay within int64
+    prod = np.multiply.reduceat(x[:, species] * weight - offset, starts, axis=1)
+    rates = np.asarray(sys.kappa) * prod.astype(float)
+    return rates if inside is None else rates * inside

@@ -144,6 +144,23 @@ class ReactionNetwork:
         return out
 
     @cached_property
+    def source_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+        """Falling-factorial factors of the sources, one column each.
+
+        Column p is ``weight[p] * x[species[p]] - offset[p]``; reaction k owns
+        the columns from ``starts[k]`` to the next start, the first a constant
+        1.  ``degree`` is the largest source degree.
+        """
+        columns, starts = [], []
+        for row in self.source_matrix:
+            starts.append(len(columns))
+            columns.append((0, 0, -1))
+            columns.extend((i, 1, j) for i in np.flatnonzero(row) for j in range(row[i]))
+        species, weight, offset = np.array(columns, dtype=np.int64).reshape(-1, 3).T
+        degree = int(self.source_matrix.sum(axis=1).max(initial=0))
+        return species, weight, offset, np.array(starts, dtype=np.intp), degree
+
+    @cached_property
     def target_matrix(self) -> np.ndarray:
         out = np.zeros((self.r, self.n), dtype=np.int64)
         for k, rxn in enumerate(self.reactions):

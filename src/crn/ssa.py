@@ -2,9 +2,9 @@
 
 Rates come from :func:`crn.kinetics.propensities`, the same definition the
 stationary solver reads, evaluated once per visited state (with that
-state's one-jump successors) and memoized for the length of one path.  A
-state off the nonnegative orthant has no positive rate, so a path started
-there stays put.
+state's one-jump successors) and memoized along one path.  A state off the
+nonnegative orthant has no positive rate, so a path started there stays
+put.
 
 Randomness comes from numpy's counter-based Philox generator keyed by the
 64-bit seed, so paths are bit-reproducible across runs and platforms.
@@ -14,6 +14,7 @@ Replicas should use ``seed + replica_index``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .model import MassActionSystem, Measure, discrete_state
 __all__ = ["SsaConfig", "ssa_path", "occupancy_measure", "tv_distance"]
 
 DEFAULT_JUMP_CAP = 10**8
+# Rows a path keeps memoized; past this the memo starts again empty, so a
+# path that keeps meeting new states holds memory for its occupancy alone.
+_MEMO_ROWS = 2**16
 
 
 @dataclass(frozen=True)
@@ -52,14 +56,16 @@ def _events(sys: MassActionSystem, x0, cfg: SsaConfig, jump_cap: int):
     """Yields (event_time, new_state) pairs until t_end or absorption."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed & (2**64 - 1))))
     vectors = [tuple(int(v) for v in row) for row in sys.network.reaction_vectors]
-    rows: dict[tuple[int, ...], list[float]] = {}
+    rows: dict[tuple[int, ...], tuple[float, ...]] = {}
     x = discrete_state(x0, sys.network.n)
     t = 0.0
     jumps = 0
     while True:
         if x not in rows:
-            batch = [x] + [tuple(v + d for v, d in zip(x, vec)) for vec in vectors]
-            rows.update(zip(batch, propensities(sys, batch).tolist()))
+            if len(rows) > _MEMO_ROWS:
+                rows.clear()
+            batch = [x] + [tuple(map(add, x, vec)) for vec in vectors]
+            rows.update(zip(batch, map(tuple, propensities(sys, batch).tolist())))
         a = rows[x]
         total = sum(a)
         if total <= 0.0:
@@ -75,7 +81,7 @@ def _events(sys: MassActionSystem, x0, cfg: SsaConfig, jump_cap: int):
             if u < acc:
                 chosen = k
                 break
-        x = tuple(v + d for v, d in zip(x, vectors[chosen]))
+        x = tuple(map(add, x, vectors[chosen]))
         jumps += 1
         if jumps > jump_cap:
             raise PathExplosionError(f"path exceeded {jump_cap} jumps before t_end")

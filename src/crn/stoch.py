@@ -139,15 +139,19 @@ class _Frame:
     A key is the mixed-radix number of the point's offset from ``lo``, first
     coordinate most significant, so key order is lexicographic point order.
     Keys are int64 when the box has fewer than 2**63 points and exact Python
-    ints otherwise.  Points outside the box get key -1.
+    ints otherwise.  Points outside the box get key -1.  A side of 2**63 or
+    more points is refused, so that every width and offset fits in int64.
     """
 
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=np.int64)
         self.hi = np.asarray(hi, dtype=np.int64)
+        spans = [h - l + 1 for l, h in zip(self.lo.tolist(), self.hi.tolist())]
+        if max(spans, default=0) >= 2**63:
+            raise ValueError("box has a side of 2**63 or more points")
         strides = []
         size = 1
-        for span in reversed((self.hi - self.lo + 1).tolist()):
+        for span in reversed(spans):
             strides.append(size)
             size *= span
         self.dtype = np.int64 if size < 2**63 else object

@@ -247,11 +247,14 @@ def test_non_finite_count_is_an_input_error(capsys, argv):
     assert captured.err == "input error: count for A must be an integer, got inf\n"
 
 
-@pytest.mark.parametrize("argv", [
+BOX_COMMANDS = [
     ["analyze", "--seed-state", "A=0"],
     ["stationary", "--seed-state", "A=0", "--allow-truncated"],
     ["simulate", "--init", "A=0", "--t-end", "1", "--seed", "0", "--compare"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", BOX_COMMANDS)
 @pytest.mark.parametrize("box", ["99999999999999999999", "9223372036854775808"])
 def test_box_beyond_int64_is_an_input_error(capsys, argv, box):
     command, *rest = argv
@@ -261,6 +264,17 @@ def test_box_beyond_int64_is_an_input_error(capsys, argv, box):
     assert captured.err == (
         f"input error: box bound outside the signed 64-bit range in {box!r}\n"
     )
+
+
+@pytest.mark.parametrize("argv", BOX_COMMANDS)
+def test_box_side_of_2_pow_63_points_is_an_input_error(capsys, argv):
+    # [0, 2**63 - 1] has 2**63 points, a width int64 cannot hold
+    command, *rest = argv
+    box = str(2**63 - 1)
+    assert main([command, str(NETWORKS / "birth_death.crn"), *rest, "--box", box]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: box has a side of 2**63 or more points\n"
 
 
 def test_infinite_horizon_is_an_input_error(capsys):

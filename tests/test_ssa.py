@@ -25,6 +25,17 @@ def test_start_off_the_orthant_is_absorbing():
     assert occupancy_measure(sys, (-1,), cfg).weights == {(-1,): 1.0}
 
 
+def test_memo_restart_keeps_the_path(monkeypatch):
+    # a path that outgrows the rate memo starts it again; rows are recomputed
+    # bit for bit, so the path does not change
+    sys = crn.corpus.load("six_complex")
+    cfg = SsaConfig(seed=3, t_end=5.0)
+    path = ssa_path(sys, (30, 20, 10), cfg)
+    monkeypatch.setattr(crn.ssa, "_MEMO_ROWS", 8)
+    assert ssa_path(sys, (30, 20, 10), cfg) == path
+    assert len({x for _, x in path}) > 8
+
+
 def test_path_reproducible():
     sys = parse_network("0 <-> A : 1, 1")
     cfg = SsaConfig(seed=7, t_end=25.0)

@@ -256,3 +256,13 @@ def test_frame_keys_fall_back_to_exact_integers():
     assert list(keys) == sorted(keys)
     queries = np.array([[0, 1, 0, 0, 5], [0, 1, 0, 0, 4], [-1, 0, 0, 0, 0]])
     assert _find(keys, frame.keys(queries)).tolist() == [1, -1, -1]
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ([0], [2**63 - 1]),
+    ([0, 0], [2**63 - 1, 5]),
+    ([-(2**63)], [-1]),
+])
+def test_frame_refuses_a_side_of_2_pow_63_points(lo, hi):
+    with pytest.raises(ValueError, match=r"a side of 2\*\*63 or more points"):
+        _Frame(lo, hi)
