@@ -279,6 +279,8 @@ def main(argv=None) -> int:
         # with a nan or negative tol every equation fails, with inf every one holds
         if not (np.isfinite(args.tol) and args.tol > 0):
             raise ValueError(f"--tol must be finite and positive, got {args.tol}")
+        if getattr(args, "rvb_starts", 0) < 0:
+            raise ValueError(f"--rvb-starts must be nonnegative, got {args.rvb_starts}")
         return args.fn(args)
     except ParseError as exc:
         print(f"input error: {exc}", file=_sys.stderr)

@@ -243,16 +243,21 @@ def classify_state(sys: MassActionSystem, c, tol: float = 1e-9) -> StateBalanceR
     for condition, label, lhs, rhs in _balance_equations(net):
         if verdicts[condition].fails:
             continue
-        fwd = [_in_order_sum(flux[k] for k in ks) for _, ks in lhs]
-        bwd = [_in_order_sum(flux[k] for k in ks) for _, ks in rhs]
-        if condition == "cyb":
-            bad = _log_product_mismatch(fwd, bwd, tol, 1.0)
-        else:
-            fwd, bwd = _in_order_sum(fwd), _in_order_sum(bwd)
-            bad = None if _close(fwd, bwd, tol) else (fwd, bwd)
+        bad = _mismatch(condition, lhs, rhs, flux, tol)
         if bad is not None:
             verdicts[condition] = Verdict.fail(state, label, *bad)
     return StateBalanceReport(*verdicts.values(), *_equilibrium(net, c, rates, tol))
+
+
+def _mismatch(condition, lhs, rhs, flux, tol):
+    """None if one equation of ``_balance_equations`` holds at the rates
+    ``flux`` (a list), else the pair of its sides (lhs, rhs)."""
+    fwd = [_in_order_sum(flux[k] for k in ks) for _, ks in lhs]
+    bwd = [_in_order_sum(flux[k] for k in ks) for _, ks in rhs]
+    if condition == "cyb":
+        return _log_product_mismatch(fwd, bwd, tol, 1.0)
+    fwd, bwd = _in_order_sum(fwd), _in_order_sum(bwd)
+    return None if _close(fwd, bwd, tol) else (fwd, bwd)
 
 
 def system_cycle_balanced(sys: MassActionSystem) -> bool:
@@ -387,7 +392,15 @@ def solve_rvb(sys: MassActionSystem, starts: int = 32) -> list[np.ndarray]:
     where every equation is trivially sub-tolerance.  A solution must bring
     every raw class imbalance to 1e-10 and pass ``classify_state``'s rvb
     check; solutions closer than 1e-6 to a kept one are dropped.
+
+    The starts advance together as arrays: each round evaluates every live
+    start, takes one least-squares step per start and tries all backtracking
+    lengths of every start at once.  Each start takes the first length that
+    improves, so the result equals that of running the starts one after the
+    other, bit for bit.  Raises ``ValueError`` for negative ``starts``.
     """
+    if starts < 0:
+        raise ValueError(f"rvb starts must be nonnegative, got {starts}")
     net = sys.network
     classes = reaction_vector_classes(net).classes
     if net.n == 0 or not classes:
@@ -399,56 +412,77 @@ def solve_rvb(sys: MassActionSystem, starts: int = 32) -> list[np.ndarray]:
         signs[row, list(fwd)] = 1.0
         signs[row, list(bwd)] = -1.0
 
-    def raw_residual(u):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return signs @ (kappa * np.exp(Y @ u))
+    # A @ x and G @ G for every row of a stack.  numpy's matmul runs each
+    # row as its own BLAS call of the same shape as the lone product, so the
+    # bits match those of one start at a time (tests/test_solve_rvb.py).
+    def stacked(A, X):
+        return np.matmul(A, X[..., None])[..., 0]
 
-    def scaled_residual_and_jacobian(u):
+    def squared_norms(G):
+        return np.matmul(G[..., None, :], G[..., :, None])[..., 0, 0]
+
+    def rates_at(U):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return kappa * np.exp(stacked(Y, U))
+
+    def scaled_residual(U):
         # Work with class imbalances normalized by the total rate: the raw
         # residual vanishes trivially as c -> 0, which would pull every
         # Newton run into the origin; the normalized one is scale-free.
+        # Returns the imbalances G and the rate shares p.
         with np.errstate(over="ignore", invalid="ignore"):
-            rates = kappa * np.exp(Y @ u)
-            total = float(rates.sum())
-            p = rates / total
-            G = signs @ p
-            J = signs @ (p[:, None] * Y) - np.outer(G, p @ Y)
-        return G, J
+            rates = rates_at(U)
+            p = rates / rates.sum(axis=-1, keepdims=True)
+            return stacked(signs, p), p
+
+    def jacobian(G, p):
+        with np.errstate(over="ignore", invalid="ignore"):
+            pY = np.matmul(p[..., None, :], Y)  # p @ Y per row
+            return np.matmul(signs, p[..., None] * Y) - G[..., None] * pY
+
+    def finite_rows(G):
+        return np.isfinite(G).all(axis=-1)
 
     lo, hi = 1e-2, 1e2  # the search box
     rng = np.random.default_rng(0)
     span = math.log(hi) - math.log(lo)
-    u0s = np.empty((starts, net.n))
+    U = np.empty((starts, net.n))
     for j in range(net.n):
         strata = rng.permutation(starts)
-        u0s[:, j] = math.log(lo) + (strata + rng.random(starts)) / starts * span
+        U[:, j] = math.log(lo) + (strata + rng.random(starts)) / starts * span
 
-    found: list[np.ndarray] = []
-    for u in u0s:
-        u = u.copy()
-        for _ in range(100):
-            G, J = scaled_residual_and_jacobian(u)
-            if not np.all(np.isfinite(G)) or float(np.max(np.abs(G))) <= 1e-15:
-                break
-            step, *_ = np.linalg.lstsq(J, -G, rcond=None)
-            alpha = 1.0
-            base = float(G @ G)
-            while alpha > 1e-6:
-                trial = u + alpha * step
-                Gt, _ = scaled_residual_and_jacobian(trial)
-                if np.all(np.isfinite(Gt)) and float(Gt @ Gt) < base:
-                    u = trial
-                    break
-                alpha /= 2
-            else:
-                break
-        F = raw_residual(u)
-        if not (np.all(np.isfinite(F)) and float(np.max(np.abs(F))) <= 1e-10):
-            continue
-        c = np.exp(u)
-        if np.any(c < lo) or np.any(c > hi):
-            continue
-        if classify_state(sys, c).rvb.holds:
+    # Backtracking lengths 1, 1/2, ..., 2**-19: every halving above 1e-6.
+    alphas = np.ldexp(1.0, -np.arange(20))[:, None]
+    live = np.arange(starts)  # starts still iterating, in start order
+    for _ in range(100):
+        G, p = scaled_residual(U[live])
+        go = finite_rows(G)
+        go[go] = np.abs(G[go]).max(axis=-1) > 1e-15
+        live, G, p = live[go], G[go], p[go]
+        if not live.size:
+            break
+        J = jacobian(G, p)
+        steps = np.array([np.linalg.lstsq(Jk, -Gk, rcond=None)[0] for Jk, Gk in zip(J, G)])
+        trials = U[live][:, None, :] + alphas * steps[:, None, :]
+        Gt, _ = scaled_residual(trials)
+        with np.errstate(over="ignore", invalid="ignore"):
+            better = finite_rows(Gt) & (squared_norms(Gt) < squared_norms(G)[:, None])
+        moved = better.any(axis=1)
+        U[live[moved]] = trials[moved, better[moved].argmax(axis=1)]
+        live = live[moved]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = stacked(signs, rates_at(U))
+    small = finite_rows(F)
+    small[small] = np.abs(F[small]).max(axis=-1) <= 1e-10
+    C = np.exp(U[small])
+    C = C[((C >= lo) & (C <= hi)).all(axis=1)]
+    # the rvb rows of classify_state, at the same rates and tolerance
+    rvb = [eq for eq in _balance_equations(net) if eq[0] == "rvb"]
+    found = []
+    for c in C:
+        flux = det_rates(sys, c).tolist()
+        if all(_mismatch(cond, lhs, rhs, flux, 1e-9) is None for cond, _, lhs, rhs in rvb):
             found.append(c)
 
     found.sort(key=lambda c: tuple(c))

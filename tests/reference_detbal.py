@@ -11,15 +11,23 @@ its endpoints.  ``direct_sum`` lets one reference run serve many systems.
 before the balance equations moved into one table: one hand-written loop
 per condition.  The differential test requires the same report, witness
 labels and floats included.
+
+``solve_rvb`` is a copy of ``crn.detbal.solve_rvb`` as it was before its
+Newton starts ran as one array batch: one start at a time, one residual
+evaluation per backtracking step, and ``classify_state`` on every
+candidate.  The differential test requires the same list of arrays, in the
+same order, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import block_diag
 
+from crn import detbal
 from crn.detbal import (
     StateBalanceReport,
     _equilibrium,
@@ -153,3 +161,74 @@ def classify_state(sys: MassActionSystem, c, tol: float = 1e-9) -> StateBalanceR
             break
 
     return StateBalanceReport(rb, cb, rvb, cyb, *_equilibrium(net, c, rates, tol))
+
+
+def solve_rvb(sys: MassActionSystem, starts: int = 32) -> list[np.ndarray]:
+    """Positive reaction vector balanced states found by multi-start Newton,
+    one start after the other."""
+    net = sys.network
+    classes = reaction_vector_classes(net).classes
+    if net.n == 0 or not classes:
+        return []
+    Y = net.source_matrix.astype(float)
+    kappa = np.asarray(sys.kappa)
+    signs = np.zeros((len(classes), net.r))
+    for row, (_, (fwd, bwd)) in enumerate(sorted(classes.items())):
+        signs[row, list(fwd)] = 1.0
+        signs[row, list(bwd)] = -1.0
+
+    def raw_residual(u):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return signs @ (kappa * np.exp(Y @ u))
+
+    def scaled_residual_and_jacobian(u):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates = kappa * np.exp(Y @ u)
+            total = float(rates.sum())
+            p = rates / total
+            G = signs @ p
+            J = signs @ (p[:, None] * Y) - np.outer(G, p @ Y)
+        return G, J
+
+    lo, hi = 1e-2, 1e2
+    rng = np.random.default_rng(0)
+    span = math.log(hi) - math.log(lo)
+    u0s = np.empty((starts, net.n))
+    for j in range(net.n):
+        strata = rng.permutation(starts)
+        u0s[:, j] = math.log(lo) + (strata + rng.random(starts)) / starts * span
+
+    found: list[np.ndarray] = []
+    for u in u0s:
+        u = u.copy()
+        for _ in range(100):
+            G, J = scaled_residual_and_jacobian(u)
+            if not np.all(np.isfinite(G)) or float(np.max(np.abs(G))) <= 1e-15:
+                break
+            step, *_ = np.linalg.lstsq(J, -G, rcond=None)
+            alpha = 1.0
+            base = float(G @ G)
+            while alpha > 1e-6:
+                trial = u + alpha * step
+                Gt, _ = scaled_residual_and_jacobian(trial)
+                if np.all(np.isfinite(Gt)) and float(Gt @ Gt) < base:
+                    u = trial
+                    break
+                alpha /= 2
+            else:
+                break
+        F = raw_residual(u)
+        if not (np.all(np.isfinite(F)) and float(np.max(np.abs(F))) <= 1e-10):
+            continue
+        c = np.exp(u)
+        if np.any(c < lo) or np.any(c > hi):
+            continue
+        if detbal.classify_state(sys, c).rvb.holds:
+            found.append(c)
+
+    found.sort(key=lambda c: tuple(c))
+    kept: list[np.ndarray] = []
+    for c in found:
+        if all(float(np.linalg.norm(c - other)) > 1e-6 for other in kept):
+            kept.append(c)
+    return kept

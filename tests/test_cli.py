@@ -327,6 +327,18 @@ def test_tol_must_be_finite_and_positive(capsys, command):
         assert captured.err.startswith("input error: --tol must be finite and positive")
 
 
+def test_rvb_starts_must_be_nonnegative(capsys):
+    path = str(NETWORKS / "birth_death.crn")
+    for starts in ("-1", "-32"):
+        assert main(["analyze", path, f"--rvb-starts={starts}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: --rvb-starts must be nonnegative, got {starts}\n"
+    code, out = run_cli(capsys, "analyze", path, "--rvb-starts", "0")
+    assert code == 0
+    assert '"rvb_states":[]' in out
+
+
 def test_module_entry_point():
     src = str(pathlib.Path(crn.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

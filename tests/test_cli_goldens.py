@@ -7,9 +7,10 @@ each of the corpus networks, plus two ``analyze`` runs whose implication map
 reads violated (exit 4); then, per corpus network, one seeded ``simulate
 --compare`` path (27 to 828 jumps) and one truncated ``stationary
 --compare-poisson`` solve in the box of side 8, and one plain ``simulate``
-on a transient start.  A changed byte of any output fails its case.
-After a deliberate output change, re-record the file and say so in
-CHANGES.md:
+on a transient start; last, per corpus network, the ``analyze`` case again
+with one and with 64 rvb Newton starts.  A changed byte of any output fails
+its case.  After a deliberate output change, re-record the file and say so
+in CHANGES.md:
 
     PYTHONPATH=src python tests/test_cli_goldens.py
 """
@@ -54,8 +55,18 @@ TRANSIENT = ["simulate", "demos/networks/absolute_concentration.crn", "--init", 
              "--t-end", "20", "--seed", "7"]
 
 
+# Newton start counts of the extra analyze cases, beside the default 32.
+RVB_STARTS = ("1", "64")
+
+
 def _text(names, values) -> str:
     return ",".join(f"{name}={values[i % len(values)]:g}" for i, name in enumerate(names))
+
+
+def _analyze(name: str) -> list[str]:
+    names = corpus.load(name).network.species.names
+    seeds = [arg for seed in SEEDS for arg in ("--seed-state", _text(names, seed))]
+    return ["analyze", f"demos/networks/{name}.crn", *seeds, "--box", "8"]
 
 
 def cases() -> list[list[str]]:
@@ -65,8 +76,7 @@ def cases() -> list[list[str]]:
         names = corpus.load(name).network.species.names
         for state in STATES:
             out.append(["classify-state", path, "--state", _text(names, state)])
-        seeds = [arg for seed in SEEDS for arg in ("--seed-state", _text(names, seed))]
-        out.append(["analyze", path, *seeds, "--box", "8"])
+        out.append(_analyze(name))
     out += VIOLATED
     for name in sorted(corpus.SYSTEMS):
         path = f"demos/networks/{name}.crn"
@@ -76,7 +86,10 @@ def cases() -> list[list[str]]:
             ["stationary", path, "--seed-state", start, "--box", "8",
              "--allow-truncated", "--compare-poisson"]
         )
-    return out + [TRANSIENT]
+    out.append(TRANSIENT)
+    for name in sorted(corpus.SYSTEMS):
+        out += [[*_analyze(name), "--rvb-starts", starts] for starts in RVB_STARTS]
+    return out
 
 
 def run(argv: list[str]) -> tuple[int, str]:

@@ -192,6 +192,14 @@ def test_solve_rvb_stochastic_rvb_system_empty():
     assert solve_rvb(parse_network(STOCH_RVB)) == []
 
 
+def test_solve_rvb_refuses_negative_starts():
+    sys = parse_network(THREE_ROOTS)
+    for starts in (-1, -32):
+        with pytest.raises(ValueError, match="rvb starts must be nonnegative"):
+            solve_rvb(sys, starts)
+    assert solve_rvb(sys, 0) == []
+
+
 def test_stoch_rvb_polynomials_have_no_common_root():
     # Independent oracle: the per-displacement balance conditions of the
     # five-complex chain, assembled from its rate constants.
