@@ -486,11 +486,13 @@ def solve_rvb(sys: MassActionSystem, starts: int = 32) -> list[np.ndarray]:
             found.append(c)
 
     found.sort(key=lambda c: tuple(c))
-    kept: list[np.ndarray] = []
+    kept = np.empty((0, net.n))
     for c in found:
-        if all(float(np.linalg.norm(c - other)) > 1e-6 for other in kept):
-            kept.append(c)
-    return kept
+        # the distances to every kept state, each rounded as np.linalg.norm
+        # rounds it: sqrt of the dot product
+        if np.all(np.sqrt(squared_norms(c - kept)) > 1e-6):
+            kept = np.vstack([kept, c])
+    return list(kept)
 
 
 # LSODA error tolerances of ``integrate``: per step and per coordinate,

@@ -286,6 +286,18 @@ def test_infinite_horizon_is_an_input_error(capsys):
     assert capsys.readouterr().err == "input error: t_end must be finite\n"
 
 
+def test_overflowing_stationary_solve_prints_only_the_error(tmp_path, capsys):
+    # the suite turns warnings into errors, so a numpy overflow warning,
+    # which a user would see on stderr, fails the test
+    path = tmp_path / "overflow.crn"
+    path.write_text("0 <-> A : 1e200, 1e-100\nA <-> 2A : 1e50, 1\n")
+    argv = ["stationary", str(path), "--seed-state", "A=0", "--box", "400", "--allow-truncated"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "SolveFailureError: state-reduction solve overflowed\n"
+
+
 # command -> (network file and arguments, keys the summary must print)
 PRETTY_CASES = {
     "parse": (["triangle.crn"], ["canonical"]),

@@ -7,6 +7,10 @@ constants, independently of the library's propensity kernel: the product
 formula for 1-D birth-death chains, and Gaussian elimination on the global
 balance equations for a 2-D slice.  Every exact value that is a normal
 float must be matched to a relative error of 1e-12.
+
+Components whose kept moves all reach a neighbouring state are solved in
+one vector pass; their weights must equal those of the banded GTH loop
+(``reference_stoch.banded_stationary_distribution``) bit for bit.
 """
 
 import dataclasses
@@ -19,6 +23,8 @@ import pytest
 import crn
 from crn import Box, stoch
 from crn.errors import SolveFailureError
+
+import reference_stoch as ref
 
 NORMAL = 2.0**-1022  # smallest positive normal float
 REL = 1e-12
@@ -191,3 +197,84 @@ def test_component_without_moves_is_not_irreducible(size):
     )
     with pytest.raises(SolveFailureError, match="not irreducible"):
         stoch.stationary_distribution(sys, comp)
+
+
+def _assert_same_bits_as_the_loop(sys, comp):
+    dist = stoch.stationary_distribution(sys, comp, allow_truncated=True)
+    loop = ref.banded_stationary_distribution(sys, comp, allow_truncated=True)
+    assert list(dist.weights.items()) == list(loop.weights.items())
+
+
+@pytest.mark.parametrize("upper", [1, 2, 20, 799, 800, 20000, 100000])
+@pytest.mark.parametrize("name", ["birth_death", "rvb_three_roots"])
+def test_one_dimensional_chain_matches_the_banded_loop_bit_for_bit(name, upper):
+    sys = crn.corpus.load(name)
+    _assert_same_bits_as_the_loop(sys, stoch.communicating_class(sys, (0,), Box.cube(1, upper)))
+
+
+def test_line_component_matches_the_banded_loop_bit_for_bit():
+    # the class of (5, 5) is the line a + b = 10; in lexicographic order each
+    # move reaches a neighbouring state
+    sys = crn.parse_network("A <-> B : 2, 3")
+    comp = stoch.communicating_class(sys, (5, 5), Box.cube(2, 12))
+    assert len(comp.states) == 11 and comp.closed
+    _assert_same_bits_as_the_loop(sys, comp)
+
+
+@pytest.mark.parametrize(
+    "text, upper",
+    # weights pass 1e250 and are rescaled: once on the first chain, 2,890
+    # and 14,173 times on the others
+    [("0 <-> A : 1000, 1", 3000), ("0 <-> A : 1e40, 1", 20000), ("0 <-> A : 1e40, 1", 100000)],
+    ids=["1000-3000", "1e40-20000", "1e40-100000"],
+)
+def test_rescaled_chain_matches_the_banded_loop_bit_for_bit(text, upper):
+    sys = crn.parse_network(text)
+    _assert_same_bits_as_the_loop(sys, stoch.communicating_class(sys, (0,), Box.cube(1, upper)))
+
+
+def test_random_chains_match_the_banded_loop_bit_for_bit():
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        k = [f"{v:.17g}" for v in 10.0 ** rng.uniform(-30, 30, size=4)]
+        sys = crn.parse_network(f"0 <-> A : {k[0]}, {k[1]}\nA <-> 2A : {k[2]}, {k[3]}")
+        upper = int(rng.integers(2, 500))
+        _assert_same_bits_as_the_loop(sys, stoch.communicating_class(sys, (0,), Box.cube(1, upper)))
+
+
+def test_chain_without_a_backward_rate_names_the_same_state():
+    # 2A -> A needs two molecules, so state 1 has no move back to state 0
+    sys = crn.parse_network("0 -> A : 1\n2A -> A : 1")
+    states = tuple((x,) for x in range(50))
+    comp = stoch.ComponentResult(
+        states=states, closed=True, truncated=False, seed=states[0],
+        box=Box.cube(1, 49), exit_faces=frozenset(), internal_leak=False,
+    )
+    with pytest.raises(SolveFailureError) as new:
+        stoch.stationary_distribution(sys, comp)
+    with pytest.raises(SolveFailureError) as loop:
+        ref.banded_stationary_distribution(sys, comp)
+    assert str(new.value) == str(loop.value)
+    assert "not irreducible: no route from state (1,)" in str(new.value)
+
+
+@pytest.mark.parametrize(
+    "text, upper",
+    [
+        # bandwidth 1: the weights overflow
+        ("0 <-> A : 1e200, 1e-100\nA <-> 2A : 1e50, 1", 400),
+        # bandwidth 2: the elimination and back-substitution overflow, and
+        # inf times 0 gives nan
+        ("0 <-> A : 1e200, 1e-100\nA <-> 2A : 1e50, 1\n0 <-> 2A : 1, 1", 400),
+        ("0 <-> A : 1e300, 1e-300\nA <-> 2A : 1e150, 1e-300\n0 <-> 2A : 1e-200, 1e150", 60),
+        ("0 <-> A : 1e-200, 1e-300\nA <-> 2A : 1e150, 1e-300\n0 <-> 2A : 1e200, 1e-200", 60),
+    ],
+    ids=["band1", "band2", "band2-nan-in-matmul", "band2-nan-in-divide"],
+)
+def test_overflowing_solve_raises_without_a_warning(text, upper):
+    # the suite turns warnings into errors, so a numpy warning would escape
+    # in place of the error
+    sys = crn.parse_network(text)
+    comp = stoch.communicating_class(sys, (0,), Box.cube(1, upper))
+    with pytest.raises(SolveFailureError, match="state-reduction solve overflowed"):
+        stoch.stationary_distribution(sys, comp, allow_truncated=True)
