@@ -359,46 +359,47 @@ def component_is_active(sys: MassActionSystem, component: ComponentResult) -> bo
     return bool(np.all(np.any(rates > 0, axis=0)))
 
 
-def _chain_weights(band: np.ndarray) -> np.ndarray:
-    """Unnormalized GTH weights of a chain whose kept moves all reach a
-    neighbouring state, from the band rows ``R[k, k-1], R[k, k], R[k, k+1]``
-    with every ``R[k, k-1] > 0``.
+def _chain_weights(R: np.ndarray, size: int) -> np.ndarray | None:
+    """GTH weights of a bandwidth-1 band ``R`` (laid out as in
+    ``stationary_distribution``), bit for bit those of ``_banded_weights``,
+    or None where that loop would rescale.
 
-    The result equals the banded loop of ``stationary_distribution`` bit for
-    bit.  At bandwidth 1, elimination step k writes only the diagonal slot
-    R[k-1, k-1], which GTH never reads, so the steps are independent and
-    the elimination is one division per state.  Each back-substitution dot
-    has one term, so the weights are the running product of those ratios,
-    rounded as the loop rounds them.  Where a
-    weight passes 1e250, the loop scales every weight so far by 1e-250; here
-    the product restarts from the scaled weight, in chunks that double from
-    64 so that the restarts cost O(size) in all, and the factors owed by
-    earlier weights are applied at the end.  At most three are applied,
-    since three take any finite weight to 0.  A chunk's products past its
-    first crossing are discarded, and may overflow: the caller ignores
-    overflow and checks the weights for it afterwards.
+    At bandwidth 1, elimination step k writes only R[k-1, k-1], which GTH
+    never reads, so the elimination is one division per state,
+    R[k-1, k] / R[k, k-1].  Each back-substitution dot has one term, so the
+    weights are the running product of those ratios, rounded as the loop
+    rounds them while no weight passes 1e250.  A nan or inf, as from a zero
+    backward rate, fails that test too and is left to the loop.
     """
-    size = len(band)
-    ratio = np.empty(size)
-    np.divide(band[:-1, 2], band[1:, 0], out=ratio[1:])
-    pi = np.empty(size)
+    pi = np.multiply.accumulate(np.r_[1.0, R[2 : 3 * size - 1 : 3] / R[3 : 3 * size : 3]])
+    return pi if np.all(pi <= 1e250) else None
+
+
+def _banded_weights(R: np.ndarray, size: int, lower: int, upper: int, states) -> np.ndarray:
+    """Unnormalized GTH weights of the band ``R`` of ``stationary_distribution``
+    by per-state elimination and back-substitution; ``R`` is overwritten."""
+    width = lower + upper
+    for k in range(size - 1, 0, -1):
+        first_col, first_row = max(k - lower, 0), max(k - upper, 0)
+        row = R[k * width + first_col + lower : k * width + k + lower]
+        s = float(row.sum())
+        if s <= 0.0:
+            raise SolveFailureError(
+                "component is not irreducible: no route from state "
+                f"{states[k]} to earlier states"
+            )
+        col = R[first_row * width + k + lower : k * width + k + lower : width]
+        col /= s
+        block = R[first_row * width + first_col + lower : k * width + first_col + lower]
+        block.reshape(k - first_row, width)[:, : k - first_col] += col[:, None] * row
+    pi = np.zeros(size)
     pi[0] = 1.0
-    crossings = []
-    k, chunk = 1, 64
-    while k < size:
-        end = min(k + chunk, size)
-        ratio[k - 1] = pi[k - 1]  # the product restarts from the current weight
-        run = np.multiply.accumulate(ratio[k - 1 : end], out=pi[k - 1 : end])
-        (over,) = np.nonzero(run[1:] > 1e250)
-        if over.size:
-            k += int(over[0])
-            pi[k] *= 1e-250
-            crossings.append(k)
-            k, chunk = k + 1, 64
-        else:
-            k, chunk = end, 2 * chunk
-    for k in crossings[-3:]:
-        pi[:k] *= 1e-250
+    for k in range(1, size):
+        first_row = max(k - upper, 0)
+        col = R[first_row * width + k + lower : k * width + k + lower : width]
+        pi[k] = float(pi[first_row:k] @ col)
+        if pi[k] > 1e250:  # keep headroom; only ratios matter
+            pi[: k + 1] *= 1e-250
     return pi
 
 
@@ -414,13 +415,11 @@ def stationary_distribution(
     distribution of the reflected chain; interior values are exact whenever
     the chain is reaction vector balanced and approximate otherwise.
 
-    The solve is banded GTH state reduction in lexicographic state order.
-    When every kept move reaches a neighbouring state in that order
-    (bandwidth 1, as on one-species birth-death chains), the same
-    elimination is evaluated as one vector pass (``_chain_weights``), with
-    the loop's results bit for bit.  Raises ``SolveFailureError`` when the
-    component is not irreducible, when the solve overflows, or when the
-    balance residual exceeds 1e-10 relative to the largest flux.
+    The solve is banded GTH state reduction in lexicographic state order;
+    at bandwidth 1 it is one vector pass (``_chain_weights``) wherever that
+    gives the loop's weights bit for bit.  Raises ``SolveFailureError`` when
+    the component is not irreducible, the solve overflows, or the balance
+    residual exceeds 1e-10 relative to the largest flux.
     """
     if not component.closed:
         if not (allow_truncated and component.truncated and not component.internal_leak):
@@ -466,34 +465,12 @@ def stationary_distribution(
     width = lower + upper
     R = np.zeros(size * (width + 1) + lower)
     R[src * width + dst + lower] = val
-    # Overflow, and the nan it can breed, is left to the isfinite check.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # At bandwidth 1, R[k, k-1] lives at R[3 * k].  A zero there is left
-        # to the loop, which names the state that has no route back.
-        if lower == upper == 1 and np.all(R[3 : 3 * size : 3] > 0.0):
-            pi = _chain_weights(R[: 3 * size].reshape(size, 3))
-        else:
-            for k in range(size - 1, 0, -1):
-                first_col, first_row = max(k - lower, 0), max(k - upper, 0)
-                row = R[k * width + first_col + lower : k * width + k + lower]
-                s = float(row.sum())
-                if s <= 0.0:
-                    raise SolveFailureError(
-                        "component is not irreducible: no route from state "
-                        f"{states[k]} to earlier states"
-                    )
-                col = R[first_row * width + k + lower : k * width + k + lower : width]
-                col /= s
-                block = R[first_row * width + first_col + lower : k * width + first_col + lower]
-                block.reshape(k - first_row, width)[:, : k - first_col] += col[:, None] * row
-            pi = np.zeros(size)
-            pi[0] = 1.0
-            for k in range(1, size):
-                first_row = max(k - upper, 0)
-                col = R[first_row * width + k + lower : k * width + k + lower : width]
-                pi[k] = float(pi[first_row:k] @ col)
-                if pi[k] > 1e250:  # keep headroom; only ratios matter
-                    pi[: k + 1] *= 1e-250
+    # Overflow, a zero backward rate at bandwidth 1 and the nan they breed
+    # are left to the loop and the isfinite check.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pi = _chain_weights(R, size) if lower == upper == 1 else None
+        if pi is None:
+            pi = _banded_weights(R, size, lower, upper, states)
     if not np.all(np.isfinite(pi)):
         raise SolveFailureError("state-reduction solve overflowed")
     total = float(pi.sum())

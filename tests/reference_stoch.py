@@ -9,10 +9,6 @@ instance at a time.  The differential tests hold the indexed
 implementation to these results: exactly, except for stationary weights
 and the witness values computed from them, which agree to a componentwise
 relative tolerance.
-
-``banded_stationary_distribution`` is the indexed banded GTH loop as it
-ran at every bandwidth before bandwidth-1 chains were solved in one vector
-pass; the library must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ import math
 
 import numpy as np
 
-from crn.detbal import _in_order_sum, _log_product_mismatch, reaction_vector_classes
+from crn.detbal import _log_product_mismatch, reaction_vector_classes
 from crn.errors import (
     BoxTooSmallError,
     EmptySupportError,
@@ -35,9 +31,7 @@ from crn.stoch import (
     ComponentResult,
     MeasureBalanceReport,
     _ConditionTally,
-    _index,
     _margin,
-    _state_array,
 )
 
 
@@ -260,91 +254,6 @@ def stationary_distribution(
 
     return Measure(
         {x: float(pi[index[x]]) for x in states if pi[index[x]] > 0.0},
-        normalized=True,
-    )
-
-
-def banded_stationary_distribution(
-    sys: MassActionSystem,
-    component: ComponentResult,
-    allow_truncated: bool = False,
-) -> Measure:
-    """``crn.stoch.stationary_distribution`` with the banded GTH loop run at
-    every bandwidth, bandwidth 1 included."""
-    if not component.closed:
-        if not (allow_truncated and component.truncated and not component.internal_leak):
-            raise NotClosedError(
-                "component is not closed"
-                + ("" if component.truncated else " and not a box truncation")
-                + ("; it also leaks inside the box" if component.internal_leak else "")
-            )
-    size = len(component.states)
-    if size == 0:
-        raise EmptySupportError("component has no states")
-    if size == 1:
-        return Measure({component.states[0]: 1.0}, normalized=True)
-
-    points, all_rates, targets = _index(sys, _state_array(sys, component))
-    states = tuple(map(tuple, points.tolist()))
-    kept = (all_rates > 0) & (targets >= 0)
-    rates = np.where(kept, all_rates, 0.0)
-    src, dst, val = [], [], []
-    classes = reaction_vector_classes(sys.network).classes.values()
-    for group in (g for pair in classes for g in pair if g):
-        total = _in_order_sum(rates[:, k] for k in group)
-        (rows,) = np.nonzero(total > 0)
-        src.append(rows)
-        dst.append(targets[rows, group[0]])
-        val.append(total[rows])
-    src, dst, val = np.concatenate(src), np.concatenate(dst), np.concatenate(val)
-    exit_rate = _in_order_sum(rates.T)
-
-    lower = int(np.max(src - dst, initial=0))
-    upper = int(np.max(dst - src, initial=0))
-    width = lower + upper
-    R = np.zeros(size * (width + 1) + lower)
-    R[src * width + dst + lower] = val
-    for k in range(size - 1, 0, -1):
-        first_col, first_row = max(k - lower, 0), max(k - upper, 0)
-        row = R[k * width + first_col + lower : k * width + k + lower]
-        s = float(row.sum())
-        if s <= 0.0:
-            raise SolveFailureError(
-                "component is not irreducible: no route from state "
-                f"{states[k]} to earlier states"
-            )
-        col = R[first_row * width + k + lower : k * width + k + lower : width]
-        col /= s
-        block = R[first_row * width + first_col + lower : k * width + first_col + lower]
-        block.reshape(k - first_row, width)[:, : k - first_col] += col[:, None] * row
-    pi = np.zeros(size)
-    pi[0] = 1.0
-    for k in range(1, size):
-        first_row = max(k - upper, 0)
-        col = R[first_row * width + k + lower : k * width + k + lower : width]
-        pi[k] = float(pi[first_row:k] @ col)
-        if pi[k] > 1e250:  # keep headroom; only ratios matter
-            pi[: k + 1] *= 1e-250
-    if not np.all(np.isfinite(pi)):
-        raise SolveFailureError("state-reduction solve overflowed")
-    total = float(pi.sum())
-    if total <= 0:
-        raise SolveFailureError("global-balance solution has zero total mass")
-    pi /= total
-
-    in_flux = np.zeros(size)
-    np.add.at(in_flux, targets[kept], (pi[:, None] * all_rates)[kept])
-    out_flux = pi * exit_rate
-    worst = max(0.0, float(np.max(np.abs(out_flux - in_flux))))
-    scale = max(0.0, float(np.max(out_flux)), float(np.max(in_flux)))
-    if scale > 0 and worst > 1e-10 * scale:
-        raise SolveFailureError(
-            f"global-balance residual {worst:.3e} exceeds 1e-10 relative to {scale:.3e}"
-        )
-
-    (support,) = np.nonzero(pi > 0.0)
-    return Measure(
-        dict(zip((states[i] for i in support.tolist()), pi[support].tolist())),
         normalized=True,
     )
 
