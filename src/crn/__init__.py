@@ -16,7 +16,6 @@ from .errors import (
     DuplicateReactionError,
     EmptyNetworkError,
     EmptySupportError,
-    ImplicationViolationError,
     NonFiniteStateError,
     NonIntegerCountError,
     NonpositiveRateError,

@@ -19,6 +19,7 @@ human-readable summary instead.  Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys as _sys
 
 import numpy as np
@@ -226,7 +227,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     ap = argparse.ArgumentParser(prog="crn", description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -237,19 +240,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="validate and echo the canonical form")
     common(p)
-    p.set_defaults(fn=cmd_parse)
 
     p = sub.add_parser("analyze", help="full deterministic/stochastic analysis")
     common(p)
     p.add_argument("--seed-state", action="append", help="e.g. A=3,B=0 (repeatable)")
     p.add_argument("--box", help="truncation upper bounds: N or n1,n2,...")
     p.add_argument("--rvb-starts", type=int, default=32)
-    p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("classify-state", help="balance verdicts at one state")
     common(p)
     p.add_argument("--state", required=True, help="e.g. A=1,B=1")
-    p.set_defaults(fn=cmd_classify_state)
 
     p = sub.add_parser("stationary", help="stationary distribution of a component")
     common(p)
@@ -257,7 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", help="truncation upper bounds: N or n1,n2,...")
     p.add_argument("--allow-truncated", action="store_true")
     p.add_argument("--compare-poisson", action="store_true")
-    p.set_defaults(fn=cmd_stationary)
 
     p = sub.add_parser("simulate", help="SSA occupancy measure")
     common(p)
@@ -267,21 +266,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", type=float, default=None)
     p.add_argument("--box", help="box for --compare")
     p.add_argument("--compare", action="store_true")
-    p.set_defaults(fn=cmd_simulate)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # with a nan or negative tol every equation fails, with inf every one holds
         if not (np.isfinite(args.tol) and args.tol > 0):
             raise ValueError(f"--tol must be finite and positive, got {args.tol}")
         if getattr(args, "rvb_starts", 0) < 0:
             raise ValueError(f"--rvb-starts must be nonnegative, got {args.rvb_starts}")
-        return args.fn(args)
+        # looked up per call, so a rebound cmd_* function is the one that runs
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        return command(args)
     except ParseError as exc:
         print(f"input error: {exc}", file=_sys.stderr)
         return 2

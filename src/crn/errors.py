@@ -142,7 +142,3 @@ class NotNormalizedError(CrnError, ValueError):
 
 class PathExplosionError(CrnError, RuntimeError):
     """A simulated path exceeded the configured jump-count guard."""
-
-
-class ImplicationViolationError(CrnError, RuntimeError):
-    """An instance-level implication check failed; this is a self-test trap."""

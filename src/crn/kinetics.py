@@ -9,6 +9,8 @@ orthant are therefore absorbing.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .model import MassActionSystem
@@ -43,8 +45,9 @@ def propensities(sys: MassActionSystem, states) -> np.ndarray:
     factorials are exact integers (int64 while the product provably fits,
     Python ints beyond) and meet ``kappa`` in a single float multiply, so a
     row equals the scalar definition bit for bit.  Counts beyond int64 are
-    held as Python ints.  A rate is zero wherever some ``x_i < y_i``; in
-    particular every rate vanishes off the orthant.
+    held as Python ints, and a product beyond float range gives the rate
+    ``inf``.  A rate is zero wherever some ``x_i < y_i``; in particular every
+    rate vanishes off the orthant.
     """
     net = sys.network
     try:
@@ -64,5 +67,15 @@ def propensities(sys: MassActionSystem, states) -> np.ndarray:
     # x_i - j runs down from x_i and meets 0 before any negative factor, so
     # x_i < y_i gives a zero product and partial products stay within int64
     prod = np.multiply.reduceat(x[:, species] * weight - offset, starts, axis=1)
+    if prod.dtype == object:
+        prod = np.frompyfunc(_float, 1, 1)(prod)
     rates = np.asarray(sys.kappa) * prod.astype(float)
     return rates if inside is None else rates * inside
+
+
+def _float(v: int) -> float:
+    """``float(v)``, or ``inf`` for a nonnegative integer beyond float range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf

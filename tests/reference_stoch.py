@@ -9,11 +9,17 @@ instance at a time.  The differential tests hold the indexed
 implementation to these results: exactly, except for stationary weights
 and the witness values computed from them, which agree to a componentwise
 relative tolerance.
+
+It also keeps the direct-method SSA as a generator of jumps with a linear
+scan for the reaction, and an occupancy summed over that generator; the
+SSA tests require the fused jump loop of ``crn.ssa`` to give the same paths
+and the same occupancy weights, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add
 
 import numpy as np
 
@@ -22,10 +28,13 @@ from crn.errors import (
     BoxTooSmallError,
     EmptySupportError,
     NotClosedError,
+    PathExplosionError,
     SolveFailureError,
 )
 from crn.graph import cycles_of
+from crn.kinetics import propensities
 from crn.model import MassActionSystem, Measure, Verdict, discrete_state
+from crn.ssa import DEFAULT_JUMP_CAP, SsaConfig
 from crn.stoch import (
     Box,
     ComponentResult,
@@ -521,3 +530,75 @@ def classify_measure(
         boundary_skipped=skipped_total,
     )
 
+
+
+# ---------------------------------------------------------------------------
+# SSA: a generator of jumps, and the occupancy summed over it
+# ---------------------------------------------------------------------------
+
+def _events(sys: MassActionSystem, x0, cfg: SsaConfig, jump_cap: int, memo_rows: int):
+    """Yields (event_time, new_state) pairs until t_end or absorption."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed & (2**64 - 1))))
+    vectors = [tuple(int(v) for v in row) for row in sys.network.reaction_vectors]
+    rows: dict[tuple[int, ...], tuple[float, ...]] = {}
+    x = discrete_state(x0, sys.network.n)
+    t = 0.0
+    jumps = 0
+    while True:
+        if x not in rows:
+            if len(rows) > memo_rows:
+                rows.clear()
+            batch = [x] + [tuple(map(add, x, vec)) for vec in vectors]
+            rows.update(zip(batch, map(tuple, propensities(sys, batch).tolist())))
+        a = rows[x]
+        total = sum(a)
+        if total <= 0.0:
+            return
+        t += rng.exponential(1.0 / total)
+        if t > cfg.t_end:
+            return
+        u = rng.random() * total
+        acc = 0.0
+        chosen = len(a) - 1
+        for k, ak in enumerate(a):
+            acc += ak
+            if u < acc:
+                chosen = k
+                break
+        x = tuple(map(add, x, vectors[chosen]))
+        jumps += 1
+        if jumps > jump_cap:
+            raise PathExplosionError(f"path exceeded {jump_cap} jumps before t_end")
+        yield t, x
+
+
+def ssa_path(
+    sys: MassActionSystem, x0, cfg: SsaConfig, jump_cap: int = DEFAULT_JUMP_CAP,
+    memo_rows: int = 2**16,
+) -> list[tuple[float, tuple[int, ...]]]:
+    path = [(0.0, discrete_state(x0, sys.network.n))]
+    path.extend(_events(sys, x0, cfg, jump_cap, memo_rows))
+    return path
+
+
+def occupancy_measure(
+    sys: MassActionSystem, x0, cfg: SsaConfig, jump_cap: int = DEFAULT_JUMP_CAP,
+    memo_rows: int = 2**16,
+) -> Measure:
+    burn_in = cfg.effective_burn_in
+    horizon = cfg.t_end
+    weights: dict[tuple[int, ...], float] = {}
+    prev_t = 0.0
+    prev_x = discrete_state(x0, sys.network.n)
+    for t, x in _events(sys, x0, cfg, jump_cap, memo_rows):
+        span = min(t, horizon) - max(prev_t, burn_in)
+        if span > 0:
+            weights[prev_x] = weights.get(prev_x, 0.0) + span
+        prev_t, prev_x = t, x
+    span = horizon - max(prev_t, burn_in)
+    if span > 0:
+        weights[prev_x] = weights.get(prev_x, 0.0) + span
+    total = sum(weights.values())
+    return Measure(
+        {x: w / total for x, w in sorted(weights.items()) if w > 0}, normalized=True
+    )

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -296,6 +297,41 @@ def test_overflowing_stationary_solve_prints_only_the_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "SolveFailureError: state-reduction solve overflowed\n"
+
+
+@pytest.mark.parametrize("text, init", [
+    ("A -> 2A : 1e308\n", "A=10"),  # every rate overflows to inf
+    ("17A -> 0 : 1\n0 -> A : 1\n", "A=4611686018427387904"),  # an exact product past 2**1024
+])
+def test_simulate_rates_beyond_float_range_fail_fast(tmp_path, capsys, text, init):
+    path = tmp_path / "huge.crn"
+    path.write_text(text)
+    t0 = time.perf_counter()
+    code = main(["simulate", str(path), "--init", init, "--t-end", "1", "--seed", "0"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("NonFiniteStateError: ")
+
+
+def test_parser_is_shared_and_keeps_no_state(capsys, monkeypatch):
+    argv = ["analyze", str(NETWORKS / "square.crn"), "--seed-state", "A=3,B=0",
+            "--seed-state", "A=1,B=2", "--box", "8"]
+    crn.cli._parser.cache_clear()
+    fresh = run_cli(capsys, *argv)
+    assert fresh[0] == 0
+    assert run_cli(capsys, *argv) == fresh
+    assert crn.cli._parser().parse_args(argv).seed_state == ["A=3,B=0", "A=1,B=2"]
+    with pytest.raises(SystemExit):
+        main(["analyze", "--seed-state", "A=3,B=0"])  # no file: argparse exits
+    capsys.readouterr()
+    assert run_cli(capsys, *argv) == fresh
+    assert crn.cli._parser().parse_args(argv).seed_state == ["A=3,B=0", "A=1,B=2"]
+    # commands are looked up when they run, so a rebound one is called
+    monkeypatch.setattr(crn.cli, "cmd_parse", lambda args: 7)
+    assert main(["parse", str(NETWORKS / "triangle.crn")]) == 7
 
 
 # command -> (network file and arguments, keys the summary must print)

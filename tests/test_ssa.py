@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 
 import crn
 from crn import Box, Measure, SsaConfig, occupancy_measure, parse_network, ssa_path, tv_distance
-from crn.errors import NotNormalizedError, PathExplosionError
+from crn.errors import NonFiniteStateError, NotNormalizedError, PathExplosionError
+from crn.kinetics import propensities
+from crn.model import MassActionSystem
+from crn.ssa import DEFAULT_JUMP_CAP
+
+import reference_stoch as ref
 
 
 def test_absorbing_initial_state():
@@ -145,3 +151,135 @@ def test_tv_decreases_with_horizon():
         assert tvs[2] < tvs[0]
         assert tvs[1] <= tvs[0] + 0.02
         assert tvs[2] <= tvs[1] + 0.02
+
+
+# -- the fused jump loop against the generator and linear scan it replaced --
+
+SEED_HORIZONS = ((1, 2.0), (2, 7.5), (12345, 20.0))
+
+
+def outcome(fn, *args, **kwargs):
+    """A function's result, or the message of the PathExplosionError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except PathExplosionError as exc:
+        return str(exc)
+
+
+def assert_same_as_reference(sys, x0, cfg, jump_cap=DEFAULT_JUMP_CAP, memo_rows=2**16):
+    path = outcome(ssa_path, sys, x0, cfg, jump_cap)
+    assert path == outcome(ref.ssa_path, sys, x0, cfg, jump_cap, memo_rows=memo_rows)
+    occ = outcome(occupancy_measure, sys, x0, cfg, jump_cap)
+    want = outcome(ref.occupancy_measure, sys, x0, cfg, jump_cap, memo_rows=memo_rows)
+    if isinstance(want, str):
+        assert occ == want
+    else:
+        assert list(occ.weights.items()) == list(want.weights.items())
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(crn.corpus.SYSTEMS))
+def test_jump_loop_matches_reference_on_corpus(name):
+    # semi_open grows without bound; its long paths end at the jump cap,
+    # which both loops must reach at the same jump
+    sys = crn.corpus.load(name)
+    jumps = 0
+    for x0 in itertools.product(range(4), repeat=sys.network.n):
+        for seed, t_end in SEED_HORIZONS:
+            path = assert_same_as_reference(sys, x0, SsaConfig(seed, t_end), jump_cap=3000)
+            jumps += len(path) - 1 if isinstance(path, list) else 3000
+    assert jumps > 0
+
+
+def test_jump_loop_matches_reference_across_memo_restarts(monkeypatch):
+    sys = crn.corpus.load("six_complex")
+    monkeypatch.setattr(crn.ssa, "_MEMO_ROWS", 8)
+    for seed, t_end in SEED_HORIZONS:
+        path = assert_same_as_reference(sys, (30, 20, 10), SsaConfig(seed, t_end), memo_rows=8)
+        assert len({x for _, x in path}) > 8
+
+
+def test_jump_loop_matches_reference_with_zero_rates_between_positive_ones():
+    # a reaction of order 2 or 3 has rate zero below its source, so running
+    # sums tie; the first sum above u, and the last reaction past them, win
+    sys = parse_network("A -> 0 : 1\n2B -> 0 : 1\n3C -> 0 : 1\n0 -> B : 1\n0 -> A : 2\n0 -> C : 3")
+    tied = 0
+    for x0 in itertools.product(range(3), repeat=3):
+        for seed, t_end in SEED_HORIZONS:
+            path = assert_same_as_reference(sys, x0, SsaConfig(seed, t_end))
+            for row in propensities(sys, [x for _, x in path]).tolist():
+                positive = [k for k, a in enumerate(row) if a > 0]
+                tied += any(row[k] == 0 for k in range(positive[0], positive[-1]))
+    assert tied > 100
+
+
+class DyadicGenerator:
+    """Stands in for numpy's Generator: unit holding times, and uniforms on a
+    grid of quarters, so that u = uniform * total lands on running sums."""
+
+    def __init__(self, bit_generator):
+        self.draws = itertools.cycle((0.0, 0.25, 0.5, 0.75, 0.125))
+
+    def standard_exponential(self):
+        return 1.0
+
+    def exponential(self, scale):
+        return scale * self.standard_exponential()
+
+    def random(self):
+        return next(self.draws)
+
+
+def test_exact_ties_pick_the_first_running_sum_above_u(monkeypatch):
+    # u equal to a running sum must move past it (and past every zero rate
+    # after it), as the scan did; with dyadic rates ties happen every jump
+    monkeypatch.setattr(np.random, "Generator", DyadicGenerator)
+    sys = parse_network("A -> 0 : 1\n2B -> 0 : 1\n3C -> 0 : 1\n0 -> B : 1\n0 -> A : 2\n0 -> C : 4")
+    ties = 0
+    for x0 in itertools.product(range(3), repeat=3):
+        path = assert_same_as_reference(sys, x0, SsaConfig(0, 10.0))
+        for (_, x), u in zip(path, itertools.cycle((0.0, 0.25, 0.5, 0.75, 0.125))):
+            row = propensities(sys, [x]).tolist()[0]
+            ties += u * sum(row) in itertools.accumulate(row)
+    assert ties > 20
+
+
+@pytest.mark.parametrize("x0", [(2**40,), (2**52 + 1,), (2**62,), (2**63 - 2,)])
+def test_jump_loop_matches_reference_beyond_int64_products(x0):
+    # falling factorials of these counts pass 2**63, so the kernel runs on
+    # Python ints; 2**63 - 2 has a successor beyond int64 itself
+    sys = parse_network("0 <-> A : 1, 1\n2A -> 3A : 1e-3")
+    assert propensities(sys, [x0]).max() > 2**63
+    for seed, scale in ((1, 0.5), (2, 2.0), (3, 8.0)):
+        t_end = scale * 100 / float(x0[0]) ** 2 * 1e3
+        path = assert_same_as_reference(sys, x0, SsaConfig(seed, t_end))
+        assert len(path) > 20
+
+
+@pytest.mark.parametrize("k", [-40, -20, 20, 40])
+def test_rate_scaling_only_rescales_time(k):
+    # rates times 2**k and horizon times 2**-k: every draw scales exactly,
+    # so the states repeat and every time is the original times 2**-k
+    factor = 2.0**k
+    for name in sorted(crn.corpus.SYSTEMS):
+        sys = crn.corpus.load(name)
+        scaled = MassActionSystem(sys.network, tuple(c * factor for c in sys.kappa))
+        x0 = (2,) * sys.network.n
+        for seed, t_end in SEED_HORIZONS:
+            cfg, cfg_scaled = SsaConfig(seed, t_end), SsaConfig(seed, t_end / factor)
+            path = ssa_path(sys, x0, cfg)
+            assert ssa_path(scaled, x0, cfg_scaled) == [(t / factor, x) for t, x in path]
+            occ = occupancy_measure(scaled, x0, cfg_scaled)
+            assert list(occ.weights.items()) == list(occupancy_measure(sys, x0, cfg).weights.items())
+
+
+@pytest.mark.parametrize("text, x0", [
+    ("A -> 2A : 1e308", (10,)),
+    ("17A -> 0 : 1\n0 -> A : 1", (2**62,)),
+])
+def test_total_propensity_beyond_float_range_raises(text, x0):
+    sys = parse_network(text)
+    with pytest.raises(NonFiniteStateError):
+        occupancy_measure(sys, x0, SsaConfig(seed=0, t_end=1.0))
+    with pytest.raises(NonFiniteStateError):
+        ssa_path(sys, x0, SsaConfig(seed=0, t_end=1.0))
