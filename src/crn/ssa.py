@@ -2,17 +2,16 @@
 
 Rates come from :func:`crn.kinetics.propensities`, the same definition the
 stationary solver reads, evaluated for a newly met state together with its
-one-jump successors and memoized along one path.  The first time a path
-stands in a state, that state's row becomes a record: the running sums of
-its propensities, their total and the total's reciprocal.  Each jump then
-costs two scalar draws, a holding time of ``1/total`` times a standard
-exponential and a uniform ``u`` times the total, and a bisection of the
-running sums for the first one above ``u`` (else the last reaction), which
-picks what a linear scan picks (Cao, Li & Petzold 2004).  The same loop adds
-each holding time within (burn_in, t_end] to the occupancy and, for
-:func:`ssa_path`, appends the jump to the path.  A state off the
-nonnegative orthant has no positive rate, so a path started there stays
-put; a state whose total propensity is not finite raises
+one-jump successors and memoized along one path.  Each row is kept as the
+running sums of its propensities, but the last, followed by their total.
+A jump then costs two scalar draws, a holding time of ``1/total`` times a
+standard exponential and a uniform ``u`` times the total, and a bisection
+of the running sums for the first one above ``u`` (else the last
+reaction), which picks what a linear scan picks (Cao, Li & Petzold 2004).
+The same loop adds each holding time within (burn_in, t_end] to the
+occupancy and, for :func:`ssa_path`, appends the jump to the path.  A
+state off the nonnegative orthant has no positive rate, so a path started
+there stays put; a state whose total propensity is not finite raises
 :class:`NonFiniteStateError`.
 
 Randomness comes from numpy's counter-based Philox generator keyed by the
@@ -73,11 +72,11 @@ def _run(sys: MassActionSystem, x0, cfg: SsaConfig, jump_cap: int, path) -> dict
     rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed & (2**64 - 1))))
     exponential, uniform = rng.standard_exponential, rng.random
     vectors = [tuple(int(v) for v in row) for row in sys.network.reaction_vectors]
+    last = len(vectors) - 1
     burn_in, horizon = cfg.effective_burn_in, cfg.t_end
-    # propensity rows fetched so far, and a record per visited state: the
-    # running sums of its row but the last, the total and 1/total
-    fetched: dict[tuple[int, ...], tuple[float, ...]] = {}
-    rows: dict[tuple[int, ...], tuple[tuple[float, ...], float, float]] = {}
+    # state -> the running sums of its propensity row but the last, then the
+    # total; kept for states whose total is positive and finite
+    rows: dict[tuple[int, ...], tuple[float, ...]] = {}
     weights: dict[tuple[int, ...], float] = {}
     x = discrete_state(x0, sys.network.n)
     t = 0.0
@@ -86,27 +85,27 @@ def _run(sys: MassActionSystem, x0, cfg: SsaConfig, jump_cap: int, path) -> dict
         while True:
             row = rows.get(x)
             if row is None:
-                a = fetched.get(x)
-                if a is None:
-                    if len(fetched) > _MEMO_ROWS:
-                        fetched.clear()
-                        rows.clear()
-                    batch = [x] + [tuple(map(add, x, vec)) for vec in vectors]
-                    fetched.update(zip(batch, map(tuple, propensities(sys, batch).tolist())))
-                    a = fetched[x]
-                total = sum(a)
+                if len(rows) > _MEMO_ROWS:
+                    rows.clear()
+                batch = [x] + [tuple(map(add, x, vec)) for vec in vectors]
+                rates = propensities(sys, batch).tolist()
+                total = sum(rates[0])
                 if not total < math.inf:
                     raise NonFiniteStateError(f"total propensity at state {list(x)} is {total}")
                 if total <= 0.0:
                     break
-                row = rows[x] = (tuple(accumulate(a[:-1])), total, 1.0 / total)
-            cum, total, scale = row
+                for y, a in zip(batch, rates):
+                    total = sum(a)
+                    if 0.0 < total < math.inf:
+                        rows[y] = (*accumulate(a[:-1]), total)
+                row = rows[x]
+            total = row[-1]
             # numpy's exponential(scale) is scale * standard_exponential()
-            s = t + scale * exponential()
+            s = t + 1.0 / total * exponential()
             if s > horizon:
                 break
             # the first reaction whose running sum exceeds u, else the last
-            y = tuple(map(add, x, vectors[bisect_right(cum, uniform() * total)]))
+            y = tuple(map(add, x, vectors[bisect_right(row, uniform() * total, 0, last)]))
             span = s - (t if t > burn_in else burn_in)
             if span > 0:
                 weights[x] = weights.get(x, 0.0) + span
