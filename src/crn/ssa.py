@@ -2,16 +2,17 @@
 
 Rates come from :func:`crn.kinetics.propensities`, the same definition the
 stationary solver reads, evaluated for a newly met state together with its
-one-jump successors and memoized along one path.  Each row is kept as the
-running sums of its propensities, but the last, followed by their total.
-A jump then costs two scalar draws, a holding time of ``1/total`` times a
-standard exponential and a uniform ``u`` times the total, and a bisection
-of the running sums for the first one above ``u`` (else the last
-reaction), which picks what a linear scan picks (Cao, Li & Petzold 2004).
-The same loop adds each holding time within (burn_in, t_end] to the
-occupancy and, for :func:`ssa_path`, appends the jump to the path.  A
-state off the nonnegative orthant has no positive rate, so a path started
-there stays put; a state whose total propensity is not finite raises
+one-jump successors and memoized along one path.  The first time the path
+stands in a state, its row is replaced by the running sums of its
+propensities, but the last, followed by their total.  A jump then costs
+two scalar draws, a holding time of ``1/total`` times a standard
+exponential and a uniform ``u`` times the total, and a bisection of the
+running sums for the first one above ``u`` (else the last reaction), which
+picks what a linear scan picks (Cao, Li & Petzold 2004).  The same loop
+adds each holding time within (burn_in, t_end] to the occupancy and, for
+:func:`ssa_path`, appends the jump to the path.  A state off the
+nonnegative orthant has no positive rate, so a path started there stays
+put; a state whose total propensity is not finite raises
 :class:`NonFiniteStateError`.
 
 Randomness comes from numpy's counter-based Philox generator keyed by the
@@ -74,8 +75,9 @@ def _run(sys: MassActionSystem, x0, cfg: SsaConfig, jump_cap: int, path) -> dict
     vectors = [tuple(int(v) for v in row) for row in sys.network.reaction_vectors]
     last = len(vectors) - 1
     burn_in, horizon = cfg.effective_burn_in, cfg.t_end
-    # state -> the running sums of its propensity row but the last, then the
-    # total; kept for states whose total is positive and finite
+    # propensity rows fetched for states not yet visited, and for each
+    # visited state the running sums of its row but the last, then the total
+    fetched: dict[tuple[int, ...], tuple[float, ...]] = {}
     rows: dict[tuple[int, ...], tuple[float, ...]] = {}
     weights: dict[tuple[int, ...], float] = {}
     x = discrete_state(x0, sys.network.n)
@@ -85,20 +87,20 @@ def _run(sys: MassActionSystem, x0, cfg: SsaConfig, jump_cap: int, path) -> dict
         while True:
             row = rows.get(x)
             if row is None:
-                if len(rows) > _MEMO_ROWS:
-                    rows.clear()
-                batch = [x] + [tuple(map(add, x, vec)) for vec in vectors]
-                rates = propensities(sys, batch).tolist()
-                total = sum(rates[0])
+                a = fetched.pop(x, None)
+                if a is None:
+                    if len(fetched) + len(rows) > _MEMO_ROWS:
+                        fetched.clear()
+                        rows.clear()
+                    batch = [x] + [tuple(map(add, x, vec)) for vec in vectors]
+                    fetched.update(zip(batch, map(tuple, propensities(sys, batch).tolist())))
+                    a = fetched.pop(x)
+                total = sum(a)
                 if not total < math.inf:
                     raise NonFiniteStateError(f"total propensity at state {list(x)} is {total}")
                 if total <= 0.0:
                     break
-                for y, a in zip(batch, rates):
-                    total = sum(a)
-                    if 0.0 < total < math.inf:
-                        rows[y] = (*accumulate(a[:-1]), total)
-                row = rows[x]
+                row = rows[x] = (*accumulate(a[:-1]), total)
             total = row[-1]
             # numpy's exponential(scale) is scale * standard_exponential()
             s = t + 1.0 / total * exponential()
