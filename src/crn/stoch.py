@@ -11,9 +11,12 @@ verdict to Fails.
 A set of states is indexed as arrays: the states as an integer array, the
 propensity of every reaction at every state, and the index of every
 reaction's target state among them.  The component search and the
-stationary solve read those arrays.  Measure classification evaluates each
-equation of ``detbal._balance_equations``, and the global-balance equation,
-as array operations over its sorted candidate states.
+stationary solve read those arrays.  The seed's component is the set of
+states it reaches intersected with the set that reaches it, each found by
+following one map per reaction vector with repeated squaring, in numpy
+alone.  Measure classification evaluates each equation of
+``detbal._balance_equations``, and the global-balance equation, as array
+operations over its sorted candidate states.
 
 Scalar balance equations for measures are compared with
 ``|lhs - rhs| <= tol * (flux_scale + |lhs| + |rhs|)`` where ``flux_scale`` is
@@ -290,19 +293,84 @@ def _index(
     return points, propensities(sys, points), targets.reshape(len(points), sys.network.r)
 
 
+def _close(mask: np.ndarray, step: np.ndarray) -> bool:
+    """Add to ``mask`` every state that repeated ``step`` reaches from it;
+    True when it grew.
+
+    Squaring ``g = step^(2^j)`` joins ``g``'s image each round, so after j
+    rounds the mask is the union of ``step^m`` of the start for m < 2^j.
+    Once ``g`` maps the mask into itself, every higher power of ``step`` does
+    too (m = q * 2^j + rest), so the mask is closed under ``step``.
+    """
+    grew = False
+    while True:
+        image = step[mask]
+        if mask[image].all():
+            return grew
+        mask[image] = True
+        grew = True
+        step = step[step]
+
+
+def _closure(mask: np.ndarray, steps: list[np.ndarray]) -> np.ndarray:
+    """Smallest superset of ``mask`` closed under every map in ``steps``.
+
+    Each map is closed in turn; the search stops once the last
+    ``len(steps)`` closures, the one that grew the mask included, left it
+    as they found it.
+    """
+    settled = k = 0
+    while settled < len(steps):
+        settled = 1 if _close(mask, steps[k % len(steps)]) else settled + 1
+        k += 1
+    return mask
+
+
+def _seed_class(edges: np.ndarray, targets: np.ndarray, home: int) -> np.ndarray:
+    """Mask of the strongly connected component of state ``home``, where
+    state i moves to ``targets[i, k]`` by reaction k wherever ``edges[i, k]``.
+
+    The component is the set of states that ``home`` reaches intersected
+    with the set that reaches ``home`` (the forward-backward search of
+    Fleischer, Hendrickson and Pinar 2000; each map is followed by pointer
+    jumping, Hillis and Steele 1986).  A path back to ``home`` from a reached
+    state only passes reached states, so the backward search follows the
+    moves out of reached states alone.  A column of ``targets`` is
+    one-to-one, so each reaction vector's moves are one map forward, with
+    the state itself where no move is live, and its scatter is the map
+    backward.  Reactions that share a vector share a column and share a
+    map; columns with no move give none.
+    """
+    moves: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+    for col, live in zip(targets.T, edges.T):
+        if live.any():
+            key = col.tobytes()
+            if key in moves:
+                live = live | moves[key][1]
+            moves[key] = (col, live)
+    ids = np.arange(len(targets))
+    start = np.zeros(len(targets), dtype=bool)
+    start[home] = True
+    reached = _closure(start.copy(), [np.where(live, col, ids) for col, live in moves.values()])
+    back = []
+    for col, live in moves.values():
+        live = live & reached
+        step = ids.copy()
+        step[col[live]] = ids[live]
+        back.append(step)
+    return _closure(start, back)
+
+
 def communicating_class(sys: MassActionSystem, seed, box: Box) -> ComponentResult:
     """Strongly connected component of ``seed`` in the transition graph on the box.
 
     Candidates are the lattice points of the box in the seed's compatibility
     class, or the states reachable from the seed when the class is too large
     to enumerate; the component is the seed's strongly connected component of
-    the transition graph among them, and the closure flags and exit faces
+    the transition graph among them (``_seed_class``: the candidates the
+    seed reaches that also reach it), and the closure flags and exit faces
     come from its out-edges.
     """
-    # imported here: scipy.sparse adds about 0.35 s to a fresh interpreter
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
     net = sys.network
     seed = discrete_state(seed, net.n)
     if box.n != net.n:
@@ -321,13 +389,7 @@ def communicating_class(sys: MassActionSystem, seed, box: Box) -> ComponentResul
             f"every transition out of the seed {seed} exits the box"
         )
 
-    edges = live & (targets >= 0)
-    graph = sp.csr_matrix(
-        (np.ones(int(edges.sum())), (np.nonzero(edges)[0], targets[edges])),
-        shape=(len(points), len(points)),
-    )
-    _, labels = connected_components(graph, directed=True, connection="strong")
-    inside = labels == labels[home]
+    inside = _seed_class(live & (targets >= 0), targets, home)
     renumber = np.full(len(points) + 1, -1, dtype=np.int64)
     renumber[:-1][inside] = np.arange(int(inside.sum()))
 

@@ -1,4 +1,5 @@
-"""Shared test utilities: random system generators and brute-force oracles.
+"""Shared test utilities: random system generators, brute-force oracles, and
+runners for a call's outcome and a fresh interpreter's loaded modules.
 
 Generators are driven by a caller-supplied numpy Generator so suites can pin
 a master seed.  Oracles are deliberately naive re-derivations (union-find,
@@ -8,16 +9,22 @@ algorithms.
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
 from itertools import permutations
 
 import numpy as np
 
+import crn
 from crn import (
     Complex,
     MassActionSystem,
     Reaction,
     SpeciesTable,
     build_network,
+    parse_network,
 )
 
 
@@ -167,8 +174,57 @@ def random_weakly_reversible_deficiency_zero(rng, max_tries=200):
     raise RuntimeError("could not generate a deficiency-zero network")
 
 
+def _dsl_complex(coeffs, names):
+    terms = [name if c == 1 else f"{c}{name}" for c, name in zip(coeffs, names) if c]
+    return " + ".join(terms) or "0"
+
+
+def random_irreversible_system(rng, max_species=3, max_reactions=6):
+    """Network of 1 to ``max_species`` species and 1 to ``max_reactions``
+    directed reactions between random complexes with coefficients 0..2.
+
+    Reactions are drawn one way each, so a reverse pair occurs only by
+    chance and most networks have transient states and open classes.
+    """
+    while True:
+        n = int(rng.integers(1, max_species + 1))
+        pairs = set()
+        for _ in range(int(rng.integers(1, max_reactions + 1))):
+            src, tgt = (tuple(int(v) for v in rng.integers(0, 3, size=n)) for _ in "st")
+            if src != tgt:
+                pairs.add((src, tgt))
+        if not pairs or any(all(src[j] == tgt[j] == 0 for src, tgt in pairs) for j in range(n)):
+            continue
+        names = _species_names(n)
+        return parse_network("\n".join(
+            f"{_dsl_complex(src, names)} -> {_dsl_complex(tgt, names)} : "
+            f"{float(np.exp(rng.uniform(-1.0, 1.0))):.3f}"
+            for src, tgt in sorted(pairs)
+        ))
+
+
 def random_positive_state(rng, n, lo=0.2, hi=3.0):
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
+
+
+def outcome(fn, *args, **kwargs):
+    """Result of a call, or the type and message of the error it raised."""
+    try:
+        return fn(*args, **kwargs), None
+    except crn.errors.CrnError as exc:
+        return None, (type(exc), str(exc))
+
+
+def loaded_modules(code: str) -> set[str]:
+    """Names in ``sys.modules`` after ``code`` runs in a fresh interpreter
+    that imports ``crn`` from the same source tree as this process."""
+    src = str(pathlib.Path(crn.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = f"{code}\nimport sys\nprint(' '.join(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
 
 
 # ---------------------------------------------------------------------------

@@ -11,22 +11,21 @@ package does not load the solver.
 
 from __future__ import annotations
 
-import os
-import pathlib
-import subprocess
-import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-import crn
 from crn import corpus, integrate, parse_network
 from crn.errors import NonFiniteStateError
 from crn.model import conserved_matrix
 
-from helpers import random_positive_state, random_weakly_reversible_deficiency_zero
+from helpers import (
+    loaded_modules,
+    random_positive_state,
+    random_weakly_reversible_deficiency_zero,
+)
 from reference_detbal import direct_sum, rk4_integrate
 
 T_END = 50.0
@@ -141,10 +140,4 @@ def test_integrate_divergence_is_quiet(capfd, text, c0, dt, match):
 
 def test_import_leaves_the_solver_unloaded():
     # scipy.integrate adds about 0.3 s to a fresh interpreter; CLI calls never integrate
-    src = str(pathlib.Path(crn.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, crn, crn.cli; print('scipy.integrate' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert "scipy.integrate" not in loaded_modules("import crn, crn.cli")

@@ -22,6 +22,7 @@ from crn.kinetics import propensities
 from crn.stoch import _find, _Frame
 
 import reference_stoch as ref
+from helpers import outcome
 
 RTOL = 1e-13  # about 450 ulp
 
@@ -40,14 +41,6 @@ SEEDS = {
     "six_complex": ((0, 0, 1), (1, 1, 2)),
     "mono_triangle": ((2, 0, 0), (1, 1, 1)),
 }
-
-
-def _outcome(fn, *args, **kwargs):
-    """Result of a call, or the type and message of the error it raised."""
-    try:
-        return fn(*args, **kwargs), None
-    except crn.errors.CrnError as exc:
-        return None, (type(exc), str(exc))
 
 
 def _assert_same_measure(new: Measure, old: Measure):
@@ -76,8 +69,8 @@ def _assert_same_report(new, old):
 def _assert_component_matches_reference(sys, comp, box):
     """Activity, stationary distribution and measure reports of one component."""
     assert stoch.component_is_active(sys, comp) == ref.component_is_active(sys, comp)
-    dist, err = _outcome(stoch.stationary_distribution, sys, comp, allow_truncated=True)
-    old_dist, old_err = _outcome(ref.stationary_distribution, sys, comp, allow_truncated=True)
+    dist, err = outcome(stoch.stationary_distribution, sys, comp, allow_truncated=True)
+    old_dist, old_err = outcome(ref.stationary_distribution, sys, comp, allow_truncated=True)
     assert err == old_err
     uniform = Measure({x: 1.0 for x in comp.states})
     measures = [uniform] if dist is None else [dist, uniform]
@@ -97,8 +90,8 @@ def _assert_component_matches_reference(sys, comp, box):
 
 
 def _assert_matches_reference(sys, seed, box):
-    comp, err = _outcome(stoch.communicating_class, sys, seed, box)
-    old_comp, old_err = _outcome(ref.communicating_class, sys, seed, box)
+    comp, err = outcome(stoch.communicating_class, sys, seed, box)
+    old_comp, old_err = outcome(ref.communicating_class, sys, seed, box)
     assert err == old_err
     if comp is None:
         return
