@@ -25,7 +25,7 @@ import sys as _sys
 import numpy as np
 
 from . import bridge, detbal, stoch
-from .errors import CrnError, NotWeaklyReversibleError, ParseError
+from .errors import CrnError, NetworkValidationError, NotWeaklyReversibleError, ParseError
 from .model import MassActionSystem, Measure, _plain
 from .parser import format_network, parse_network, parse_state
 from .ssa import SsaConfig, occupancy_measure, tv_distance
@@ -77,7 +77,10 @@ def _load_system(path: str) -> MassActionSystem:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
-    return parse_network(text)
+    try:
+        return parse_network(text)
+    except NetworkValidationError as exc:  # a self-loop or a repeated reaction in the file
+        raise ParseError(str(exc)) from exc
 
 
 def _parse_box(text: str | None, n: int) -> Box | None:

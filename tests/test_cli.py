@@ -10,6 +10,8 @@ import pytest
 import crn
 from crn.cli import main
 
+from helpers import loaded_modules
+
 NETWORKS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "networks"
 
 
@@ -39,6 +41,42 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code = main(["parse", str(bad)])
     assert code == 2
     assert main(["parse", str(tmp_path / "missing.crn")]) == 2
+
+
+INVALID_NETWORKS = [
+    ("A -> B : 1\nA -> B : 2\n", "line 2: reaction already given on line 1"),
+    ("A <-> B : 1, 1\nB -> A : 2\n", "line 2: reaction already given on line 1"),
+    ("A -> A : 1\n", "line 1: a reaction may not map a complex to itself"),
+    ("A -> B : 1\nA + B -> B + A : 1\n", "line 2: a reaction may not map a complex to itself"),
+]
+EVERY_COMMAND = [
+    ["parse"],
+    ["analyze", "--seed-state", "A=1", "--box", "4"],
+    ["classify-state", "--state", "A=1"],
+    ["stationary", "--seed-state", "A=1", "--box", "4", "--allow-truncated"],
+    ["simulate", "--init", "A=1", "--t-end", "1", "--seed", "0", "--compare"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("text, message", INVALID_NETWORKS)
+def test_invalid_network_file_is_an_input_error(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "invalid.crn"
+    path.write_text(text)
+    command, *rest = argv
+    assert main([command, str(path), *rest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
+def test_network_validation_in_library_code_stays_a_numerical_failure(capsys, monkeypatch):
+    def invalid(args):
+        raise crn.errors.SelfLoopError("raised after parsing")
+
+    monkeypatch.setattr(crn.cli, "cmd_parse", invalid)
+    assert main(["parse", str(NETWORKS / "square.crn")]) == 3
+    assert capsys.readouterr().err == "SelfLoopError: raised after parsing\n"
 
 
 def test_classify_state_command(capsys):
@@ -314,6 +352,26 @@ def test_simulate_rates_beyond_float_range_fail_fast(tmp_path, capsys, text, ini
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("NonFiniteStateError: ")
+
+
+def test_no_command_loads_scipy():
+    # scipy adds about 0.3 s to a fresh interpreter; only detbal.integrate uses it
+    square, triangle, birth_death = (
+        str(NETWORKS / f"{name}.crn") for name in ("square", "triangle", "birth_death")
+    )
+    runs = [
+        ["parse", square],
+        ["classify-state", triangle, "--state", "A=1,B=1"],
+        ["analyze", square, "--seed-state", "A=3,B=0", "--box", "8"],
+        ["stationary", square, "--seed-state", "A=3,B=0", "--box", "8",
+         "--allow-truncated", "--compare-poisson"],
+        ["simulate", birth_death, "--init", "A=3", "--t-end", "5", "--seed", "1", "--compare"],
+    ]
+    modules = loaded_modules(
+        "from crn.cli import main\n" + "".join(f"assert main({argv!r}) == 0\n" for argv in runs)
+    )
+    assert "crn.stoch" in modules
+    assert not {name for name in modules if name.split(".")[0] == "scipy"}
 
 
 def test_parser_is_shared_and_keeps_no_state(capsys, monkeypatch):
