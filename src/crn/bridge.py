@@ -22,7 +22,7 @@ def component_summary(sys: MassActionSystem, comp: stoch.ComponentResult) -> dic
     """Seed, size, closure flags and activity of a communicating class."""
     return {
         "seed": list(comp.seed),
-        "states": len(comp.states),
+        "states": len(comp.points),
         "closed": comp.closed,
         "truncated": comp.truncated,
         "active": stoch.component_is_active(sys, comp),

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys as _sys
 
 import numpy as np
@@ -38,33 +39,37 @@ __all__ = ["main", "console_entry"]
 # deterministic JSON
 # ---------------------------------------------------------------------------
 
-def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
-        return '"%s"' % ("inf" if x > 0 else "-inf" if x < 0 else "nan")
-    text = format(float(x), ".17g")
-    return text
+def _fmt_float(x) -> str:
+    x = float(x)
+    if math.isfinite(x):
+        return format(x, ".17g")
+    return '"%s"' % ("inf" if x > 0 else "-inf" if x < 0 else "nan")
+
+
+# Writers by exact type.  Any other value takes the first writer whose type
+# it is an instance of: bool before int, plain types before numpy ones.
+_WRITERS = {
+    type(None): lambda obj: "null",
+    bool: lambda obj: "true" if obj else "false",
+    int: int.__repr__,
+    float: _fmt_float,
+    str: lambda obj: '"%s"' % obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n"),
+    list: lambda obj: "[%s]" % ",".join(map(_json, obj)),
+    dict: lambda d: "{%s}" % ",".join(f"{_json(str(k))}:{_json(v)}" for k, v in sorted(d.items())),
+    np.integer: lambda obj: str(int(obj)),
+    np.floating: _fmt_float,
+    np.ndarray: lambda obj: _json(obj.tolist()),
+}
+_WRITERS[tuple] = _WRITERS[list]
 
 
 def _json(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{out}"'
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_json(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
-        return _json(list(obj))
-    if isinstance(obj, dict):
-        items = sorted(obj.items())
-        return "{" + ",".join(f"{_json(str(k))}:{_json(v)}" for k, v in items) + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    write = _WRITERS.get(type(obj))
+    if write is None:
+        write = next((w for kind, w in _WRITERS.items() if isinstance(obj, kind)), None)
+        if write is None:
+            raise TypeError(f"cannot serialize {type(obj)!r}")
+    return write(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +193,7 @@ def cmd_stationary(args) -> int:
         if c is None:
             payload["poisson"] = None
         else:
-            product_form = stoch.poisson_product(c, comp.states)
+            product_form = stoch.poisson_product(c, comp.points)
             payload["poisson"] = {
                 "equilibrium": list(c),
                 "tv_distance": tv_distance(dist, product_form),

@@ -66,7 +66,11 @@ def propensities(sys: MassActionSystem, states) -> np.ndarray:
         x = x.astype(object)
     # x_i - j runs down from x_i and meets 0 before any negative factor, so
     # x_i < y_i gives a zero product and partial products stay within int64
-    prod = np.multiply.reduceat(x[:, species] * weight - offset, starts, axis=1)
+    factors = x[:, species]  # the kernel's largest array, so worked in place
+    factors *= weight
+    factors -= offset
+    prod = np.multiply.reduceat(factors, starts, axis=1)
+    del factors
     if prod.dtype == object:
         prod = np.frompyfunc(_float, 1, 1)(prod)
     rates = np.asarray(sys.kappa) * prod.astype(float)

@@ -8,13 +8,14 @@ of ``max complex inf-norm`` from every truncating face.  Equations touching
 the untrusted layer are counted in ``boundary_skipped`` and can never flip a
 verdict to Fails.
 
-A set of states is indexed as arrays: the states as an integer array, the
-propensity of every reaction at every state, and the index of every
-reaction's target state among them.  The component search and the
-stationary solve read those arrays.  The seed's component is the set of
-states it reaches intersected with the set that reaches it, each found by
-following one map per reaction vector with repeated squaring, in numpy
-alone.  Measure classification evaluates each equation of
+A component is held as its index, built once by the component search: the
+states as a sorted integer array, the propensity of every reaction at every
+state, and the index of every reaction's target state among them.  The
+activity check, the stationary solve and the classification read those
+arrays; state tuples are built only for output.  The seed's component is the
+set of states it reaches intersected with the set that reaches it, each
+found by following one map per reaction vector with repeated squaring, in
+numpy alone.  Measure classification evaluates each equation of
 ``detbal._balance_equations``, and the global-balance equation, as array
 operations over its sorted candidate states.
 
@@ -27,8 +28,10 @@ are compared in log space with exact zero handling.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -105,7 +108,7 @@ class Box:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentResult:
     """Strongly connected set of states around a seed, within a box.
 
@@ -113,9 +116,17 @@ class ComponentResult:
     some transition exits the box; ``internal_leak`` means some transition
     stays in the box but leaves the set.  ``exit_faces`` records which box
     faces, as (axis, -1 or +1), are crossed by dropped transitions.
+
+    The states are held as their index: ``points`` (N x n, lexicographic
+    order), the propensities ``rates`` (N x r) and ``targets`` (N x r), the
+    row of each move's target, -1 where the move leaves the component.
+    ``states`` is their tuple view, built on first use; equality and hashing
+    read it and the flags, not the arrays.
     """
 
-    states: tuple[tuple[int, ...], ...]
+    points: np.ndarray = field(compare=False, repr=False)
+    rates: np.ndarray = field(compare=False, repr=False)
+    targets: np.ndarray = field(compare=False, repr=False)
     closed: bool
     truncated: bool
     seed: tuple[int, ...]
@@ -127,9 +138,28 @@ class ComponentResult:
         if self.closed and self.truncated:
             raise ValueError("a closed component cannot be truncated")
 
+    @classmethod
+    def from_states(cls, sys: MassActionSystem, states, **flags) -> "ComponentResult":
+        """Index ``states``, listed in any order; the flags go by keyword."""
+        points = np.array(states, dtype=np.int64).reshape(len(states), sys.network.n)
+        return cls(*_index(sys, points), **flags)
+
+    @cached_property
+    def states(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.points.tolist()))
+
     @property
     def state_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.states)
+
+    def _key(self):
+        return self.states, *(getattr(self, f.name) for f in fields(self) if f.compare)
+
+    def __eq__(self, other):
+        return isinstance(other, ComponentResult) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +277,11 @@ def _shifted(states: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return shifted.reshape(len(states) * len(vectors), states.shape[1])
 
 
-def _reachable(sys: MassActionSystem, seed: tuple[int, ...], box: Box) -> np.ndarray:
-    """States reachable from ``seed`` without leaving ``box``, sorted.
+def _reachable(
+    sys: MassActionSystem, seed: tuple[int, ...], box: Box
+) -> tuple[np.ndarray, np.ndarray]:
+    """States reachable from ``seed`` without leaving ``box``, and their
+    propensities.
 
     Walks the transition graph one level at a time, so it costs a numpy pass
     per level; it stands in for the class lattice when that is too large.
@@ -259,57 +292,69 @@ def _reachable(sys: MassActionSystem, seed: tuple[int, ...], box: Box) -> np.nda
     frame = _Frame(lower, upper)
     frontier = np.array([seed], dtype=np.int64).reshape(1, len(seed))
     seen = set(frame.keys(frontier).tolist())
-    found = [frontier]
+    found, rates = [frontier], []
     while len(frontier):
-        live = propensities(sys, frontier) > 0
-        step = (frontier[:, None, :] + vecs[None, :, :])[live]
+        rates.append(propensities(sys, frontier))
+        step = (frontier[:, None, :] + vecs[None, :, :])[rates[-1] > 0]
         step = step[((step >= lower) & (step <= upper)).all(axis=1)]
         keys, first = np.unique(frame.keys(step), return_index=True)
         new = [i for i, key in zip(first.tolist(), keys.tolist()) if key not in seen]
         seen.update(keys.tolist())
         frontier = step[new]
         found.append(frontier)
-    points = np.concatenate(found)
-    return points[np.argsort(frame.keys(points), kind="stable")]
-
-
-def _state_array(sys: MassActionSystem, component: ComponentResult) -> np.ndarray:
-    return np.array(component.states, dtype=np.int64).reshape(
-        len(component.states), sys.network.n
-    )
+    return np.concatenate(found), np.concatenate(rates)
 
 
 def _index(
-    sys: MassActionSystem, points: np.ndarray
+    sys: MassActionSystem, points: np.ndarray, rates: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``points`` (nonempty, in any order) sorted lexicographically, the
-    propensities at each (N x r), and the index among them of each reaction's
-    target (N x r, -1 where absent)."""
+    propensities at each (N x r; reordered from ``rates``, one row per given
+    point, when given), and the index among them of each reaction's target
+    (N x r, -1 where absent)."""
     frame = _Frame(points.min(axis=0), points.max(axis=0))
     keys = frame.keys(points)
     order = np.argsort(keys, kind="stable")
-    points = points[order]
-    targets = _find(keys[order], frame.keys(_shifted(points, sys.network.reaction_vectors)))
-    return points, propensities(sys, points), targets.reshape(len(points), sys.network.r)
+    points, keys = points[order], keys[order]
+    rates = propensities(sys, points) if rates is None else rates[order]
+    targets = _find(keys, frame.keys(_shifted(points, sys.network.reaction_vectors)))
+    return points, rates, targets.reshape(len(points), sys.network.r)
 
 
-def _close(mask: np.ndarray, step: np.ndarray) -> bool:
-    """Add to ``mask`` every state that repeated ``step`` reaches from it;
-    True when it grew.
+class _Walk:
+    """A map ``step`` of the class search, with ``closed``, the mask its last
+    closure left (``step`` maps it into itself), and ``powers``, the squares
+    ``step^(2^j)``, kept from its second closure on."""
 
-    Squaring ``g = step^(2^j)`` joins ``g``'s image each round, so after j
-    rounds the mask is the union of ``step^m`` of the start for m < 2^j.
-    Once ``g`` maps the mask into itself, every higher power of ``step`` does
-    too (m = q * 2^j + rest), so the mask is closed under ``step``.
+    def __init__(self, step: np.ndarray):
+        self.closed, self.powers = None, [step]
+
+
+def _close(mask: np.ndarray, walk: _Walk) -> bool:
+    """Add to ``mask`` every state that repeated ``walk``'s step reaches from
+    it; True when it grew.
+
+    Only the states that joined since the last closure under the step are
+    followed; the rest map into the mask that closure left.  Joining their
+    image under ``g = step^(2^j)`` for j = 0, 1, ... makes them, after j
+    rounds, the union of ``step^m`` of the start for m < 2^j.  Once ``g``
+    maps them into the mask, every higher power of ``step`` does too
+    (m = q * 2^j + rest), so the mask is closed under ``step``.
     """
-    grew = False
-    while True:
-        image = step[mask]
-        if mask[image].all():
-            return grew
+    keep = walk.closed is not None
+    fresh = np.flatnonzero(mask & ~walk.closed if keep else mask)
+    g, start = walk.powers[0], len(fresh)
+    for j in itertools.count(1):
+        image = g[fresh]
+        image = image[~mask[image]]
+        if not len(image):
+            walk.closed = mask.copy()
+            return len(fresh) > start
         mask[image] = True
-        grew = True
-        step = step[step]
+        fresh = np.concatenate([fresh, image])
+        g = walk.powers[j] if j < len(walk.powers) else g[g]
+        if keep and j == len(walk.powers):
+            walk.powers.append(g)
 
 
 def _closure(mask: np.ndarray, steps: list[np.ndarray]) -> np.ndarray:
@@ -319,9 +364,10 @@ def _closure(mask: np.ndarray, steps: list[np.ndarray]) -> np.ndarray:
     ``len(steps)`` closures, the one that grew the mask included, left it
     as they found it.
     """
+    walks = [_Walk(step) for step in steps]
     settled = k = 0
     while settled < len(steps):
-        settled = 1 if _close(mask, steps[k % len(steps)]) else settled + 1
+        settled = 1 if _close(mask, walks[k % len(steps)]) else settled + 1
         k += 1
     return mask
 
@@ -378,10 +424,10 @@ def communicating_class(sys: MassActionSystem, seed, box: Box) -> ComponentResul
     if not box.contains(seed):
         raise ValueError(f"seed {seed} lies outside the box")
 
-    points = _class_lattice(net, seed, box)
+    points, rates = _class_lattice(net, seed, box), None
     if points is None:
-        points = _reachable(sys, seed, box)
-    points, rates, targets = _index(sys, points)
+        points, rates = _reachable(sys, seed, box)
+    points, rates, targets = _index(sys, points, rates)
     live = rates > 0
     home = int(np.flatnonzero((points == seed).all(axis=1))[0])
     if live[home].any() and np.all(targets[home][live[home]] < 0):
@@ -393,19 +439,20 @@ def communicating_class(sys: MassActionSystem, seed, box: Box) -> ComponentResul
     renumber = np.full(len(points) + 1, -1, dtype=np.int64)
     renumber[:-1][inside] = np.arange(int(inside.sum()))
 
-    states = points[inside]
-    in_box = targets[inside]
-    in_component = renumber[in_box]
-    leaving = live[inside] & (in_component < 0)
+    points, rates, in_box = points[inside], rates[inside], targets[inside]
+    targets = renumber[in_box]
+    leaving = live[inside] & (targets < 0)
     exits = leaving & (in_box < 0)
     rows, ks = np.nonzero(exits)
-    landing = states[rows] + net.reaction_vectors[ks]
+    landing = points[rows] + net.reaction_vectors[ks]
     below = np.any(landing < np.array(box.lower, dtype=np.int64), axis=0)
     above = np.any(landing > np.array(box.upper, dtype=np.int64), axis=0)
     exit_faces = {(i, -1) for i in np.flatnonzero(below).tolist()}
     exit_faces |= {(i, +1) for i in np.flatnonzero(above).tolist()}
     return ComponentResult(
-        states=tuple(map(tuple, states.tolist())),
+        points,
+        rates,
+        targets,
         closed=not leaving.any(),
         truncated=bool(exits.any()),
         seed=seed,
@@ -417,8 +464,7 @@ def communicating_class(sys: MassActionSystem, seed, box: Box) -> ComponentResul
 
 def component_is_active(sys: MassActionSystem, component: ComponentResult) -> bool:
     """Whether every reaction fires somewhere in the component."""
-    rates = propensities(sys, _state_array(sys, component))
-    return bool(np.all(np.any(rates > 0, axis=0)))
+    return bool(np.all(np.any(component.rates > 0, axis=0)))
 
 
 def _chain_weights(R: np.ndarray, size: int) -> np.ndarray | None:
@@ -437,7 +483,7 @@ def _chain_weights(R: np.ndarray, size: int) -> np.ndarray | None:
     return pi if np.all(pi <= 1e250) else None
 
 
-def _banded_weights(R: np.ndarray, size: int, lower: int, upper: int, states) -> np.ndarray:
+def _banded_weights(R: np.ndarray, size: int, lower: int, upper: int, points) -> np.ndarray:
     """Unnormalized GTH weights of the band ``R`` of ``stationary_distribution``
     by per-state elimination and back-substitution; ``R`` is overwritten."""
     width = lower + upper
@@ -448,7 +494,7 @@ def _banded_weights(R: np.ndarray, size: int, lower: int, upper: int, states) ->
         if s <= 0.0:
             raise SolveFailureError(
                 "component is not irreducible: no route from state "
-                f"{states[k]} to earlier states"
+                f"{tuple(points[k].tolist())} to earlier states"
             )
         col = R[first_row * width + k + lower : k * width + k + lower : width]
         col /= s
@@ -490,29 +536,21 @@ def stationary_distribution(
                 + ("" if component.truncated else " and not a box truncation")
                 + ("; it also leaks inside the box" if component.internal_leak else "")
             )
-    size = len(component.states)
+    points, all_rates, targets = component.points, component.rates, component.targets
+    size = len(points)
     if size == 0:
         raise EmptySupportError("component has no states")
     if size == 1:
-        return Measure({component.states[0]: 1.0}, normalized=True)
+        return Measure({tuple(points[0].tolist()): 1.0}, normalized=True)
 
     # Kept moves of the reflected chain between the states in lexicographic
     # order.  Reactions sharing a reaction vector share a target, and their
     # rates are summed in reaction order.
-    points, all_rates, targets = _index(sys, _state_array(sys, component))
-    states = tuple(map(tuple, points.tolist()))
+    net = sys.network
     kept = (all_rates > 0) & (targets >= 0)
-    rates = np.where(kept, all_rates, 0.0)
-    src, dst, val = [], [], []
-    classes = reaction_vector_classes(sys.network).classes.values()
-    for group in (g for pair in classes for g in pair if g):
-        total = _in_order_sum(rates[:, k] for k in group)
-        (rows,) = np.nonzero(total > 0)
-        src.append(rows)
-        dst.append(targets[rows, group[0]])
-        val.append(total[rows])
-    src, dst, val = np.concatenate(src), np.concatenate(dst), np.concatenate(val)
-    exit_rate = _in_order_sum(rates.T)
+
+    def rate(k):
+        return np.where(kept[:, k], all_rates[:, k], 0.0)
 
     # Subtraction-free state-reduction (GTH) elimination: every update is a
     # sum or product of nonnegative rates, so the stationary vector comes out
@@ -522,17 +560,24 @@ def stationary_distribution(
     # that band.  Band entry R[i, j] lives at R[i * width + j + lower]: a row
     # of the band is a contiguous run, a column a stride-``width`` run, and no
     # two band entries share a slot.
-    lower = int(np.max(src - dst, initial=0))
-    upper = int(np.max(dst - src, initial=0))
+    lower = upper = 0
+    for live, column in zip(kept.T, targets.T):
+        reach = column[live] - np.flatnonzero(live)
+        lower = max(lower, -int(reach.min(initial=0)))
+        upper = max(upper, int(reach.max(initial=0)))
     width = lower + upper
     R = np.zeros(size * (width + 1) + lower)
-    R[src * width + dst + lower] = val
+    classes = reaction_vector_classes(net).classes.values()
+    for group in (g for pair in classes for g in pair if g):
+        total = _in_order_sum(rate(k) for k in group)
+        (rows,) = np.nonzero(total > 0)
+        R[rows * width + targets[rows, group[0]] + lower] = total[rows]
     # Overflow, a zero backward rate at bandwidth 1 and the nan they breed
     # are left to the loop and the isfinite check.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         pi = _chain_weights(R, size) if lower == upper == 1 else None
         if pi is None:
-            pi = _banded_weights(R, size, lower, upper, states)
+            pi = _banded_weights(R, size, lower, upper, points)
     if not np.all(np.isfinite(pi)):
         raise SolveFailureError("state-reduction solve overflowed")
     total = float(pi.sum())
@@ -541,10 +586,12 @@ def stationary_distribution(
     pi /= total
 
     # Self-check: the solved (reflected) balance equations must be satisfied.
-    # Inflow accumulates per move, in state then reaction order.
+    # Inflow accumulates in reaction order; a reaction's moves have distinct
+    # targets.
     in_flux = np.zeros(size)
-    np.add.at(in_flux, targets[kept], (pi[:, None] * all_rates)[kept])
-    out_flux = pi * exit_rate
+    for live, column, rate_k in zip(kept.T, targets.T, all_rates.T):
+        in_flux[column[live]] += pi[live] * rate_k[live]
+    out_flux = pi * _in_order_sum(rate(k) for k in range(net.r))
     worst = max(0.0, float(np.max(np.abs(out_flux - in_flux))))
     scale = max(0.0, float(np.max(out_flux)), float(np.max(in_flux)))
     if scale > 0 and worst > 1e-10 * scale:
@@ -554,33 +601,34 @@ def stationary_distribution(
 
     (support,) = np.nonzero(pi > 0.0)
     return Measure(
-        dict(zip((states[i] for i in support.tolist()), pi[support].tolist())),
+        dict(zip(map(tuple, points[support].tolist()), pi[support].tolist())),
         normalized=True,
     )
 
 
 def poisson_product(c, states) -> Measure:
-    """Product-form weights ``c**x / x!`` normalized over ``states``."""
+    """Product-form weights ``c**x / x!`` normalized over ``states``, count
+    vectors or an N x n array of them such as a component's ``points``."""
     c = np.asarray(c, dtype=float).reshape(-1)
     if np.any(c <= 0):
         raise ValueError("poisson_product needs a strictly positive concentration vector")
-    states = sorted({tuple(int(v) for v in x) for x in states})
-    if not states:
+    points = np.array(states if isinstance(states, np.ndarray) else list(states), dtype=np.int64)
+    if not len(points):
         raise EmptySupportError("poisson_product needs a nonempty state set")
-    logc = np.log(c)
-    logs = []
-    for x in states:
-        if any(v < 0 for v in x):
-            raise ValueError(f"state {x} has a negative coordinate")
-        logs.append(
-            float(sum(v * lc - math.lgamma(v + 1) for v, lc in zip(x, logc)))
-        )
-    top = max(logs)
-    weights = [math.exp(val - top) for val in logs]
-    z = sum(weights)
-    return Measure(
-        {x: w / z for x, w in zip(states, weights) if w > 0}, normalized=True
-    )
+    points = points.reshape(len(points), len(c))
+    frame = _Frame(points.min(axis=0), points.max(axis=0))
+    points = points[np.unique(frame.keys(points), return_index=True)[1]]  # sorted rows
+    negative = (points < 0).any(axis=1)
+    if negative.any():
+        raise ValueError(f"state {tuple(points[negative][0].tolist())} has a negative coordinate")
+    # log(c**x / x!), summed over the species in order
+    lgamma = np.frompyfunc(math.lgamma, 1, 1)(points + 1).astype(float)
+    logs = np.zeros(len(points)) + _in_order_sum((points * np.log(c) - lgamma).T)
+    weights = np.array([math.exp(v) for v in (logs - logs.max()).tolist()])
+    (support,) = np.nonzero(weights > 0)
+    weights = weights[support] / sum(weights.tolist())
+    keys = map(tuple, points[support].tolist())
+    return Measure(dict(zip(keys, weights.tolist())), normalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +678,8 @@ def classification_domain(
     net = sys.network
     pad = 2 * _margin(net) + 1
     if component.closed:
-        states = _state_array(sys, component)
-        lo = tuple(states.min(axis=0).tolist())
-        up = tuple(states.max(axis=0).tolist())
+        lo = tuple(component.points.min(axis=0).tolist())
+        up = tuple(component.points.max(axis=0).tolist())
         return Box(lo, up).expand((pad,) * net.n, (pad,) * net.n), frozenset()
     frozen_axis = [
         all(int(net.reaction_vectors[k][i]) == 0 for k in range(net.r))
@@ -674,6 +721,8 @@ def classify_measure(
     domain: Box,
     tol: float = 1e-9,
     truncation_faces: frozenset[tuple[int, int]] | None = None,
+    *,
+    rates: np.ndarray | None = None,
 ) -> MeasureBalanceReport:
     """Check the balance equations of ``mu`` at every determinable state.
 
@@ -690,6 +739,9 @@ def classify_measure(
     ``x + shift`` is in the support for some flux group; the witness of a
     failing condition is its first failing checked instance, equations in
     table order and states in sorted order.
+
+    ``rates``, when given, are the propensities at the sorted support, one
+    row per state, as ``classify_component_measure`` reads them.
     """
     net = sys.network
     if domain.n != net.n:
@@ -716,7 +768,9 @@ def classify_measure(
     # Weights and propensities of the support, with a zero row at index -1
     # standing for every state outside it.
     weight = np.append([mu.weights[x] for x in support], 0.0)
-    rates = np.vstack([propensities(sys, points), np.zeros(net.r)])
+    if rates is None:
+        rates = propensities(sys, points)
+    rates = np.vstack([rates, np.zeros(net.r)])
     flux_scale = max(0.0, float(np.max(weight * rates.sum(axis=1))))
     lo, hi = (points.min(axis=0), points.max(axis=0)) if len(points) else (lower, lower)
     frame = _Frame(lo - margin, hi + margin)  # holds every candidate state
@@ -805,6 +859,14 @@ def classify_component_measure(
     mu: Measure,
     tol: float = 1e-9,
 ) -> MeasureBalanceReport:
-    """Classify a component's measure with the component-derived domain."""
+    """Classify a component's measure with the component-derived domain and
+    the propensities of its index; the support must lie in the component."""
     domain, faces = classification_domain(sys, component)
-    return classify_measure(sys, mu, domain, tol=tol, truncation_faces=faces)
+    support = mu.support()
+    frame = _Frame(component.points.min(axis=0), component.points.max(axis=0))
+    points = np.array(support, dtype=np.int64).reshape(len(support), sys.network.n)
+    rows = _find(frame.keys(component.points), frame.keys(points))
+    if np.any(rows < 0):
+        raise ValueError(f"support state {support[np.argmin(rows)]} lies outside the component")
+    rates = component.rates[rows]
+    return classify_measure(sys, mu, domain, tol=tol, truncation_faces=faces, rates=rates)

@@ -9,6 +9,7 @@ algorithms.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -25,6 +26,7 @@ from crn import (
     SpeciesTable,
     build_network,
     parse_network,
+    stoch,
 )
 
 
@@ -205,6 +207,13 @@ def random_irreversible_system(rng, max_species=3, max_reactions=6):
 
 def random_positive_state(rng, n, lo=0.2, hi=3.0):
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
+
+
+def relisted(sys, comp, states):
+    """``comp`` built by hand from ``states``, which list its states in any
+    order."""
+    flags = {f.name: getattr(comp, f.name) for f in dataclasses.fields(comp) if f.compare}
+    return stoch.ComponentResult.from_states(sys, states, **flags)
 
 
 def outcome(fn, *args, **kwargs):

@@ -10,6 +10,10 @@ implementation to these results: exactly, except for stationary weights
 and the witness values computed from them, which agree to a componentwise
 relative tolerance.
 
+The product-form measure ``poisson_product`` is kept as a loop over the
+states; the library's array evaluation must give the same weights, bit for
+bit.
+
 It also keeps the direct-method SSA as a generator of jumps with a linear
 scan for the reaction, and an occupancy summed over that generator; the
 SSA tests require the fused jump loop of ``crn.ssa`` to give the same paths
@@ -154,8 +158,9 @@ def communicating_class(sys: MassActionSystem, seed, box: Box) -> ComponentResul
                     exit_faces.add((axis, -1))
                 elif target[axis] > box.upper[axis]:
                     exit_faces.add((axis, +1))
-    return ComponentResult(
-        states=states,
+    return ComponentResult.from_states(
+        sys,
+        states,
         closed=closed,
         truncated=truncated,
         seed=seed,
@@ -189,13 +194,15 @@ def stationary_distribution(
     sys: MassActionSystem,
     component: ComponentResult,
     allow_truncated: bool = False,
+    order=None,
 ) -> Measure:
     """Normalized solution of the global-balance equations on the component.
 
     For a truncated component (allowed only with ``allow_truncated``),
     box-exiting transitions are dropped, so the result is the stationary
     distribution of the reflected chain; interior values are exact whenever
-    the chain is reaction vector balanced and approximate otherwise.
+    the chain is reaction vector balanced and approximate otherwise.  States
+    are eliminated in the order of ``order``, by default ``component.states``.
     """
     if not component.closed:
         if not (allow_truncated and component.truncated and not component.internal_leak):
@@ -204,7 +211,7 @@ def stationary_distribution(
                 + ("" if component.truncated else " and not a box truncation")
                 + ("; it also leaks inside the box" if component.internal_leak else "")
             )
-    states = component.states
+    states = component.states if order is None else tuple(order)
     size = len(states)
     if size == 0:
         raise EmptySupportError("component has no states")
@@ -264,6 +271,31 @@ def stationary_distribution(
     return Measure(
         {x: float(pi[index[x]]) for x in states if pi[index[x]] > 0.0},
         normalized=True,
+    )
+
+
+def poisson_product(c, states) -> Measure:
+    """Product-form weights ``c**x / x!`` normalized over ``states``, one
+    state at a time."""
+    c = np.asarray(c, dtype=float).reshape(-1)
+    if np.any(c <= 0):
+        raise ValueError("poisson_product needs a strictly positive concentration vector")
+    states = sorted({tuple(int(v) for v in x) for x in states})
+    if not states:
+        raise EmptySupportError("poisson_product needs a nonempty state set")
+    logc = np.log(c)
+    logs = []
+    for x in states:
+        if any(v < 0 for v in x):
+            raise ValueError(f"state {x} has a negative coordinate")
+        logs.append(
+            float(sum(v * lc - math.lgamma(v + 1) for v, lc in zip(x, logc)))
+        )
+    top = max(logs)
+    weights = [math.exp(val - top) for val in logs]
+    z = sum(weights)
+    return Measure(
+        {x: w / z for x, w in zip(states, weights) if w > 0}, normalized=True
     )
 
 

@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -220,6 +221,68 @@ def test_stationary_command_birth_death(capsys):
     assert rep["rvb"]["status"] == "holds"
     assert rep["rb"]["status"] == "fails"
     assert rep["cyb"]["status"] == "holds"
+
+
+def _rows_evaluated(capsys, monkeypatch, argv):
+    """Rows of each propensity evaluation during one in-process call."""
+    evaluated = []
+    kernel = crn.kinetics.propensities
+
+    def counted(sys, states):
+        rates = kernel(sys, states)
+        evaluated.append(len(rates))
+        return rates
+
+    for module in (crn.kinetics, crn.stoch, crn.graph, crn.ssa):
+        monkeypatch.setattr(module, "propensities", counted)
+    code, _ = run_cli(capsys, argv[0], str(NETWORKS / "six_complex.crn"), *argv[1:])
+    assert code == 0
+    return evaluated
+
+
+SLICE_CALLS = [
+    (["stationary", "--seed-state", "A=0,B=0,C=1", "--box", "12", "--allow-truncated"], 1),
+    (["analyze", "--seed-state", "A=0,B=0,C=1", "--seed-state", "A=1,B=1,C=2", "--box", "12"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, components", SLICE_CALLS, ids=["stationary", "analyze"])
+def test_each_component_is_evaluated_once(capsys, monkeypatch, argv, components):
+    # a C slice of six_complex at box 12 holds 13 x 13 candidates; their
+    # propensities are evaluated once, and the activity check, the
+    # stationary solve and the classification read them from the component
+    assert _rows_evaluated(capsys, monkeypatch, argv) == [169] * components
+
+
+@pytest.mark.parametrize("argv, components", SLICE_CALLS, ids=["stationary", "analyze"])
+def test_each_reached_state_is_evaluated_once(capsys, monkeypatch, argv, components):
+    # without the class lattice the candidates are reached from the seed one
+    # level at a time, and each is evaluated on the level where it joins
+    monkeypatch.setattr(crn.stoch, "_LATTICE_CAP", 0)
+    evaluated = _rows_evaluated(capsys, monkeypatch, argv)
+    assert sum(evaluated) == 169 * components and len(evaluated) > components
+
+
+def test_stationary_memory_per_state_is_bounded(capsys):
+    # the peak of traced allocations while a 20,001-state chain is indexed,
+    # solved, classified and written, per state; 175 bytes when this bound
+    # was set, 479 while the states were converted between arrays and tuples
+    argv = ["stationary", str(NETWORKS / "birth_death.crn"), "--seed-state", "A=0",
+            "--box", "20000", "--allow-truncated"]
+    assert main(argv) == 0  # first calls fill the caches of the parser and the network
+    capsys.readouterr()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak / 20001 <= 192
 
 
 def test_stationary_not_closed_exit_code(capsys):

@@ -13,7 +13,6 @@ one vector pass where that matches the banded GTH loop; their weights must
 equal the loop's on the same band bit for bit.
 """
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -23,6 +22,8 @@ import pytest
 import crn
 from crn import Box, stoch
 from crn.errors import SolveFailureError
+
+from helpers import relisted
 
 NORMAL = 2.0**-1022  # smallest positive normal float
 REL = 1e-12
@@ -177,9 +178,9 @@ def test_state_order_does_not_change_the_distribution(name, seed, upper):
     sorted_dist = stoch.stationary_distribution(sys, comp, allow_truncated=True)
     shuffled = [comp.states[i] for i in np.random.default_rng(0).permutation(len(comp.states))]
     for states in (comp.states[::-1], tuple(shuffled)):
-        dist = stoch.stationary_distribution(
-            sys, dataclasses.replace(comp, states=states), allow_truncated=True
-        )
+        listed = relisted(sys, comp, states)
+        assert listed == comp
+        dist = stoch.stationary_distribution(sys, listed, allow_truncated=True)
         assert dist == sorted_dist
         assert list(dist.weights) == list(sorted_dist.weights)
 
@@ -189,8 +190,8 @@ def test_component_without_moves_is_not_irreducible(size):
     # birth_death moves by +-1, so no move joins two even counts
     sys = crn.corpus.load("birth_death")
     states = tuple((2 * i,) for i in range(size))
-    comp = stoch.ComponentResult(
-        states=states, closed=True, truncated=False, seed=states[0],
+    comp = stoch.ComponentResult.from_states(
+        sys, states, closed=True, truncated=False, seed=states[0],
         box=Box.cube(1, 2 * size), exit_faces=frozenset(), internal_leak=False,
     )
     with pytest.raises(SolveFailureError, match="not irreducible"):
@@ -268,8 +269,8 @@ def test_chain_without_a_backward_rate_names_the_state():
     # 2A -> A needs two molecules, so state 1 has no move back to state 0
     sys = crn.parse_network("0 -> A : 1\n2A -> A : 1")
     states = tuple((x,) for x in range(50))
-    comp = stoch.ComponentResult(
-        states=states, closed=True, truncated=False, seed=states[0],
+    comp = stoch.ComponentResult.from_states(
+        sys, states, closed=True, truncated=False, seed=states[0],
         box=Box.cube(1, 49), exit_faces=frozenset(), internal_leak=False,
     )
     with pytest.raises(SolveFailureError, match=r"not irreducible: no route from state \(1,\)"):

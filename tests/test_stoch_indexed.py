@@ -10,7 +10,6 @@ sums them over whole rows in the component's own order, so the two round
 differently (by at most 4.3 ulp, relative, on the corpus components here).
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +21,7 @@ from crn.kinetics import propensities
 from crn.stoch import _find, _Frame
 
 import reference_stoch as ref
-from helpers import outcome
+from helpers import outcome, relisted
 
 RTOL = 1e-13  # about 450 ulp
 
@@ -66,11 +65,14 @@ def _assert_same_report(new, old):
             )
 
 
-def _assert_component_matches_reference(sys, comp, box):
-    """Activity, stationary distribution and measure reports of one component."""
+def _assert_component_matches_reference(sys, comp, box, order=None):
+    """Activity, stationary distribution and measure reports of one component;
+    the reference eliminates its states in ``order``, by default sorted."""
     assert stoch.component_is_active(sys, comp) == ref.component_is_active(sys, comp)
     dist, err = outcome(stoch.stationary_distribution, sys, comp, allow_truncated=True)
-    old_dist, old_err = outcome(ref.stationary_distribution, sys, comp, allow_truncated=True)
+    old_dist, old_err = outcome(
+        ref.stationary_distribution, sys, comp, allow_truncated=True, order=order
+    )
     assert err == old_err
     uniform = Measure({x: 1.0 for x in comp.states})
     measures = [uniform] if dist is None else [dist, uniform]
@@ -173,9 +175,9 @@ def test_indexed_layer_matches_reference_on_unsorted_states(name, upper):
     box = Box.cube(sys.network.n, upper)
     comp = stoch.communicating_class(sys, SEEDS[name][0], box)
     assert len(comp.states) > 1
-    _assert_component_matches_reference(
-        sys, dataclasses.replace(comp, states=comp.states[::-1]), box
-    )
+    listed = relisted(sys, comp, comp.states[::-1])
+    assert listed == comp
+    _assert_component_matches_reference(sys, listed, box, order=comp.states[::-1])
 
 
 def test_indexed_layer_matches_reference_on_slanted_class():
@@ -189,6 +191,33 @@ def test_indexed_layer_matches_reference_on_slanted_class():
 def test_indexed_layer_matches_reference_on_empty_network():
     sys = crn.MassActionSystem(crn.model.empty_network(), ())
     _assert_matches_reference(sys, (), Box((), ()))
+
+
+def test_poisson_product_matches_reference_bit_for_bit():
+    # the product form is evaluated on arrays; from tuples in any order, with
+    # repeats, or from a component's array it must equal the per-state loop
+    rng = np.random.default_rng(0)
+    for name in sorted(SEEDS):
+        sys = crn.corpus.load(name)
+        n = sys.network.n
+        for box in (Box.cube(n, 12), Box((-2,) * n, (6,) * n)):
+            comp = stoch.communicating_class(sys, SEEDS[name][0], box)
+            c = np.exp(rng.uniform(-2.0, 2.0, size=n))
+            old, old_err = outcome(ref.poisson_product, c, comp.states)
+            for states in (comp.states, comp.points, list(reversed(comp.states)) * 2):
+                new, err = outcome(stoch.poisson_product, c, states)
+                assert err == old_err, name
+                if new is not None:
+                    assert list(new.weights.items()) == list(old.weights.items()), name
+    for product in (ref.poisson_product, stoch.poisson_product):
+        # the first negative state in sorted order is named
+        with pytest.raises(ValueError, match=r"state \(-1, 3\) has a negative coordinate"):
+            product([1.0, 2.0], [(1, 1), (2, -1), (-1, 3), (0, 0)])
+    # the tail of a long chain underflows and leaves the support
+    states = [(x,) for x in range(3000)]
+    old = ref.poisson_product([0.5], states)
+    assert len(old.weights) < 3000
+    assert list(stoch.poisson_product([0.5], states).weights.items()) == list(old.weights.items())
 
 
 def _scalar_propensity(sys, x):
