@@ -28,7 +28,6 @@ are compared in log space with exact zero handling.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -321,40 +320,23 @@ def _index(
     return points, rates, targets.reshape(len(points), sys.network.r)
 
 
-class _Walk:
-    """A map ``step`` of the class search, with ``closed``, the mask its last
-    closure left (``step`` maps it into itself), and ``powers``, the squares
-    ``step^(2^j)``, kept from its second closure on."""
+def _close(mask: np.ndarray, step: np.ndarray) -> bool:
+    """Add to ``mask`` every state that repeated ``step`` reaches from it;
+    True when it grew.
 
-    def __init__(self, step: np.ndarray):
-        self.closed, self.powers = None, [step]
-
-
-def _close(mask: np.ndarray, walk: _Walk) -> bool:
-    """Add to ``mask`` every state that repeated ``walk``'s step reaches from
-    it; True when it grew.
-
-    Only the states that joined since the last closure under the step are
-    followed; the rest map into the mask that closure left.  Joining their
-    image under ``g = step^(2^j)`` for j = 0, 1, ... makes them, after j
-    rounds, the union of ``step^m`` of the start for m < 2^j.  Once ``g``
-    maps them into the mask, every higher power of ``step`` does too
-    (m = q * 2^j + rest), so the mask is closed under ``step``.
+    Squaring ``g = step^(2^j)`` joins ``g``'s image each round, so after j
+    rounds the mask is the union of ``step^m`` of the start for m < 2^j.
+    Once ``g`` maps the mask into itself, every higher power of ``step`` does
+    too (m = q * 2^j + rest), so the mask is closed under ``step``.
     """
-    keep = walk.closed is not None
-    fresh = np.flatnonzero(mask & ~walk.closed if keep else mask)
-    g, start = walk.powers[0], len(fresh)
-    for j in itertools.count(1):
-        image = g[fresh]
-        image = image[~mask[image]]
-        if not len(image):
-            walk.closed = mask.copy()
-            return len(fresh) > start
+    grew = False
+    while True:
+        image = step[mask]
+        if mask[image].all():
+            return grew
         mask[image] = True
-        fresh = np.concatenate([fresh, image])
-        g = walk.powers[j] if j < len(walk.powers) else g[g]
-        if keep and j == len(walk.powers):
-            walk.powers.append(g)
+        grew = True
+        step = step[step]
 
 
 def _closure(mask: np.ndarray, steps: list[np.ndarray]) -> np.ndarray:
@@ -364,10 +346,9 @@ def _closure(mask: np.ndarray, steps: list[np.ndarray]) -> np.ndarray:
     ``len(steps)`` closures, the one that grew the mask included, left it
     as they found it.
     """
-    walks = [_Walk(step) for step in steps]
     settled = k = 0
     while settled < len(steps):
-        settled = 1 if _close(mask, walks[k % len(steps)]) else settled + 1
+        settled = 1 if _close(mask, steps[k % len(steps)]) else settled + 1
         k += 1
     return mask
 
@@ -721,8 +702,6 @@ def classify_measure(
     domain: Box,
     tol: float = 1e-9,
     truncation_faces: frozenset[tuple[int, int]] | None = None,
-    *,
-    rates: np.ndarray | None = None,
 ) -> MeasureBalanceReport:
     """Check the balance equations of ``mu`` at every determinable state.
 
@@ -739,10 +718,13 @@ def classify_measure(
     ``x + shift`` is in the support for some flux group; the witness of a
     failing condition is its first failing checked instance, equations in
     table order and states in sorted order.
-
-    ``rates``, when given, are the propensities at the sorted support, one
-    row per state, as ``classify_component_measure`` reads them.
     """
+    return _classify(sys, mu, domain, tol, truncation_faces, None)
+
+
+def _classify(sys, mu, domain, tol, truncation_faces, component) -> MeasureBalanceReport:
+    """``classify_measure``, reading the support's propensities from the
+    index of ``component`` (when given) wherever it holds the state."""
     net = sys.network
     if domain.n != net.n:
         raise ValueError("domain dimension does not match the species count")
@@ -768,9 +750,14 @@ def classify_measure(
     # Weights and propensities of the support, with a zero row at index -1
     # standing for every state outside it.
     weight = np.append([mu.weights[x] for x in support], 0.0)
-    if rates is None:
-        rates = propensities(sys, points)
-    rates = np.vstack([rates, np.zeros(net.r)])
+    rates = np.zeros((len(points) + 1, net.r))
+    rows = np.full(len(points), -1)
+    if component is not None:
+        index = _Frame(component.points.min(axis=0), component.points.max(axis=0))
+        rows = _find(index.keys(component.points), index.keys(points))
+        rates[:-1][rows >= 0] = component.rates[rows[rows >= 0]]
+    if np.any(rows < 0):
+        rates[:-1][rows < 0] = propensities(sys, points[rows < 0])
     flux_scale = max(0.0, float(np.max(weight * rates.sum(axis=1))))
     lo, hi = (points.min(axis=0), points.max(axis=0)) if len(points) else (lower, lower)
     frame = _Frame(lo - margin, hi + margin)  # holds every candidate state
@@ -859,14 +846,7 @@ def classify_component_measure(
     mu: Measure,
     tol: float = 1e-9,
 ) -> MeasureBalanceReport:
-    """Classify a component's measure with the component-derived domain and
-    the propensities of its index; the support must lie in the component."""
+    """Classify a component's measure with the component-derived domain,
+    reading the propensities at its support from the component's index."""
     domain, faces = classification_domain(sys, component)
-    support = mu.support()
-    frame = _Frame(component.points.min(axis=0), component.points.max(axis=0))
-    points = np.array(support, dtype=np.int64).reshape(len(support), sys.network.n)
-    rows = _find(frame.keys(component.points), frame.keys(points))
-    if np.any(rows < 0):
-        raise ValueError(f"support state {support[np.argmin(rows)]} lies outside the component")
-    rates = component.rates[rows]
-    return classify_measure(sys, mu, domain, tol=tol, truncation_faces=faces, rates=rates)
+    return _classify(sys, mu, domain, tol, faces, component)

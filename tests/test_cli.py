@@ -265,8 +265,10 @@ def test_each_reached_state_is_evaluated_once(capsys, monkeypatch, argv, compone
 
 def test_stationary_memory_per_state_is_bounded(capsys):
     # the peak of traced allocations while a 20,001-state chain is indexed,
-    # solved, classified and written, per state; 175 bytes when this bound
-    # was set, 479 while the states were converted between arrays and tuples
+    # solved, classified and written, per state; 172.5 bytes when this bound
+    # was set, 479 while the states were converted between arrays and tuples.
+    # It falls in the solve's residual check, where only numpy arrays of fixed
+    # dtype are alive; it was measured with numpy 2.4.6 on Python 3.11.
     argv = ["stationary", str(NETWORKS / "birth_death.crn"), "--seed-state", "A=0",
             "--box", "20000", "--allow-truncated"]
     assert main(argv) == 0  # first calls fill the caches of the parser and the network
@@ -282,7 +284,7 @@ def test_stationary_memory_per_state_is_bounded(capsys):
     finally:
         if started:
             tracemalloc.stop()
-    assert peak / 20001 <= 192
+    assert peak / 20001 <= 189
 
 
 def test_stationary_not_closed_exit_code(capsys):

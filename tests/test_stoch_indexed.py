@@ -89,6 +89,12 @@ def _assert_component_matches_reference(sys, comp, box, order=None):
             sys, mu, domain, truncation_faces=faces
         )
         assert stoch.classify_measure(sys, mu, box) == ref.classify_measure(sys, mu, box)
+    # a support reaching past the component, to the corners of the domain:
+    # the rates the index does not hold are evaluated
+    wider = Measure({**uniform.weights, domain.lower: 0.5, domain.upper: 2.0})
+    assert outcome(stoch.classify_component_measure, sys, comp, wider) == outcome(
+        ref.classify_measure, sys, wider, domain, truncation_faces=faces
+    )
 
 
 def _assert_matches_reference(sys, seed, box):
