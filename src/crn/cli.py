@@ -225,6 +225,9 @@ def cmd_simulate(args) -> int:
                 for i in range(sys_.network.n)
             )
             box = Box((0,) * sys_.network.n, upper)
+        if not box.contains(x0):
+            lo, up = list(box.lower), list(box.upper)
+            raise ValueError(f"--init state {list(x0)} lies outside the box from {lo} to {up}")
         comp = stoch.communicating_class(sys_, x0, box)
         dist = stoch.stationary_distribution(sys_, comp, allow_truncated=True)
         payload["compare"] = {

@@ -4,8 +4,8 @@ Rates come from :func:`crn.kinetics.propensities`, the same definition the
 stationary solver reads, evaluated for a newly met state together with its
 one-jump successors and memoized along one path.  The first time the path
 stands in a state, its row is replaced by the running sums of its
-propensities, but the last, followed by their total.  A jump then costs
-two scalar draws, a holding time of ``1/total`` times a standard
+propensities, but the last, followed by their total.  A jump then takes
+one pair of draws, a holding time of ``1/total`` times a standard
 exponential and a uniform ``u`` times the total, and a bisection of the
 running sums for the first one above ``u`` (else the last reaction), which
 picks what a linear scan picks (Cao, Li & Petzold 2004).  The same loop
@@ -16,8 +16,9 @@ put; a state whose total propensity is not finite raises
 :class:`NonFiniteStateError`.
 
 Randomness comes from numpy's counter-based Philox generator keyed by the
-64-bit seed, so paths are bit-reproducible across runs and platforms.
-Replicas should use ``seed + replica_index``.
+64-bit seed, drawn as ``_DRAW_BLOCK`` standard exponentials, then as many
+uniforms, at a time: a path is a function of the seed and this layout, the
+same bits across runs and platforms.  Replicas use ``seed + replica_index``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from operator import add
 
 import numpy as np
@@ -40,6 +41,7 @@ DEFAULT_JUMP_CAP = 10**8
 # Rows a path keeps memoized; past this the memo starts again empty, so a
 # path that keeps meeting new states holds memory for its occupancy alone.
 _MEMO_ROWS = 2**16
+_DRAW_BLOCK = 256  # draw pairs per block; the block layout is part of what defines a path
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,11 @@ def _run(sys: MassActionSystem, x0, cfg: SsaConfig, jump_cap: int, path) -> dict
     Each jump appends (event_time, new_state) to ``path`` unless it is None.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed & (2**64 - 1))))
-    exponential, uniform = rng.standard_exponential, rng.random
+    # (standard exponential, uniform) pairs, drawn _DRAW_BLOCK at a time
+    draws = chain.from_iterable(
+        zip(rng.standard_exponential(_DRAW_BLOCK).tolist(), rng.random(_DRAW_BLOCK).tolist())
+        for _ in repeat(None)
+    )
     vectors = [tuple(int(v) for v in row) for row in sys.network.reaction_vectors]
     last = len(vectors) - 1
     burn_in, horizon = cfg.effective_burn_in, cfg.t_end
@@ -84,7 +90,7 @@ def _run(sys: MassActionSystem, x0, cfg: SsaConfig, jump_cap: int, path) -> dict
     t = 0.0
     jumps = 0
     with np.errstate(over="ignore"):
-        while True:
+        for e, u in draws:
             row = rows.get(x)
             if row is None:
                 a = fetched.pop(x, None)
@@ -102,12 +108,12 @@ def _run(sys: MassActionSystem, x0, cfg: SsaConfig, jump_cap: int, path) -> dict
                     break
                 row = rows[x] = (*accumulate(a[:-1]), total)
             total = row[-1]
-            # numpy's exponential(scale) is scale * standard_exponential()
-            s = t + 1.0 / total * exponential()
+            # a holding time of scale 1/total, as numpy's exponential() forms it
+            s = t + 1.0 / total * e
             if s > horizon:
                 break
             # the first reaction whose running sum exceeds u, else the last
-            y = tuple(map(add, x, vectors[bisect_right(row, uniform() * total, 0, last)]))
+            y = tuple(map(add, x, vectors[bisect_right(row, u * total, 0, last)]))
             span = s - (t if t > burn_in else burn_in)
             if span > 0:
                 weights[x] = weights.get(x, 0.0) + span

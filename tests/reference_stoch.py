@@ -17,7 +17,9 @@ bit.
 It also keeps the direct-method SSA as a generator of jumps with a linear
 scan for the reaction, and an occupancy summed over that generator; the
 SSA tests require the fused jump loop of ``crn.ssa`` to give the same paths
-and the same occupancy weights, bit for bit.
+and the same occupancy weights, bit for bit.  Its randomness is drawn in
+the library's block layout, whose size it reads from ``crn.ssa``: per
+block, that many standard exponentials and then as many uniforms.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from operator import add
 
 import numpy as np
 
+import crn.ssa
 from crn.detbal import _log_product_mismatch, reaction_vector_classes
 from crn.errors import (
     BoxTooSmallError,
@@ -568,9 +571,20 @@ def classify_measure(
 # SSA: a generator of jumps, and the occupancy summed over it
 # ---------------------------------------------------------------------------
 
+def _draws(rng):
+    """Yields (standard exponential, uniform) pairs, one block at a time."""
+    while True:
+        # read per block, so a test that patches the size sees it here too
+        size = crn.ssa._DRAW_BLOCK
+        exponentials = rng.standard_exponential(size)
+        uniforms = rng.random(size)
+        for i in range(size):
+            yield float(exponentials[i]), float(uniforms[i])
+
+
 def _events(sys: MassActionSystem, x0, cfg: SsaConfig, jump_cap: int, memo_rows: int):
     """Yields (event_time, new_state) pairs until t_end or absorption."""
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed & (2**64 - 1))))
+    draws = _draws(np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed & (2**64 - 1)))))
     vectors = [tuple(int(v) for v in row) for row in sys.network.reaction_vectors]
     rows: dict[tuple[int, ...], tuple[float, ...]] = {}
     x = discrete_state(x0, sys.network.n)
@@ -586,10 +600,12 @@ def _events(sys: MassActionSystem, x0, cfg: SsaConfig, jump_cap: int, memo_rows:
         total = sum(a)
         if total <= 0.0:
             return
-        t += rng.exponential(1.0 / total)
+        e, u = next(draws)
+        # numpy's exponential(scale) is scale * standard_exponential()
+        t += (1.0 / total) * e
         if t > cfg.t_end:
             return
-        u = rng.random() * total
+        u *= total
         acc = 0.0
         chosen = len(a) - 1
         for k, ak in enumerate(a):

@@ -390,6 +390,21 @@ def test_infinite_horizon_is_an_input_error(capsys):
     assert capsys.readouterr().err == "input error: t_end must be finite\n"
 
 
+@pytest.mark.parametrize("init, box, message", [
+    ("A=-1", [], "--init state [-1] lies outside the box from [0] to [4]"),  # default box
+    ("A=3", ["--box", "2"], "--init state [3] lies outside the box from [0] to [2]"),
+])
+def test_compare_names_an_init_state_outside_the_box(capsys, init, box, message):
+    code = main([
+        "simulate", str(NETWORKS / "birth_death.crn"), "--init", init,
+        "--t-end", "5", "--seed", "1", "--compare", *box,
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
 def test_overflowing_stationary_solve_prints_only_the_error(tmp_path, capsys):
     # the suite turns warnings into errors, so a numpy overflow warning,
     # which a user would see on stderr, fails the test

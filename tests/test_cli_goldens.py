@@ -5,7 +5,7 @@ recorded in ``cli_goldens.json`` next to this file: ``classify-state`` at
 four states and ``analyze`` from two seed states in the box of side 8, on
 each of the corpus networks, plus two ``analyze`` runs whose implication map
 reads violated (exit 4); then, per corpus network, one seeded ``simulate
---compare`` path (27 to 828 jumps) and one truncated ``stationary
+--compare`` path (1 to 844 jumps) and one truncated ``stationary
 --compare-poisson`` solve in the box of side 8, and one plain ``simulate``
 on a transient start; last, per corpus network, the ``analyze`` case again
 with one and with 64 rvb Newton starts.  A changed byte of any output fails

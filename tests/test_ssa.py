@@ -220,14 +220,11 @@ class DyadicGenerator:
     def __init__(self, bit_generator):
         self.draws = itertools.cycle((0.0, 0.25, 0.5, 0.75, 0.125))
 
-    def standard_exponential(self):
-        return 1.0
+    def standard_exponential(self, size):
+        return np.ones(size)
 
-    def exponential(self, scale):
-        return scale * self.standard_exponential()
-
-    def random(self):
-        return next(self.draws)
+    def random(self, size):
+        return np.array(list(itertools.islice(self.draws, size)))
 
 
 def test_exact_ties_pick_the_first_running_sum_above_u(monkeypatch):
@@ -242,6 +239,40 @@ def test_exact_ties_pick_the_first_running_sum_above_u(monkeypatch):
             row = propensities(sys, [x]).tolist()[0]
             ties += u * sum(row) in itertools.accumulate(row)
     assert ties > 20
+
+
+def test_jump_loop_matches_reference_across_draw_blocks():
+    # a path of more than three blocks of draws, at the library's block size
+    sys = parse_network("0 <-> A : 100, 1")
+    path = assert_same_as_reference(sys, (100,), SsaConfig(4, 5.0))
+    assert len(path) - 1 > 3 * crn.ssa._DRAW_BLOCK
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_jump_loop_matches_reference_with_small_draw_blocks(monkeypatch, size):
+    # many block boundaries per path; both loops read the patched size
+    monkeypatch.setattr(crn.ssa, "_DRAW_BLOCK", size)
+    sys = crn.corpus.load("six_complex")
+    for seed, t_end in SEED_HORIZONS:
+        path = assert_same_as_reference(sys, (3, 2, 1), SsaConfig(seed, t_end))
+        assert len(path) - 1 > 5 * size
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+def test_draw_layout_is_a_block_of_exponentials_then_a_block_of_uniforms(seed):
+    # 64 zero-order reactions 0 -> kA of rate 1: the total is 64 in every
+    # state, so each holding time is exactly e / 64 and each jump adds
+    # floor(64 u) + 1 molecules; check the first jump of the first two blocks
+    size = crn.ssa._DRAW_BLOCK
+    sys = parse_network("\n".join(f"0 -> {k}A : 1" for k in range(1, 65)))
+    path = ssa_path(sys, (0,), SsaConfig(seed, 1.5 * size / 64))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed & (2**64 - 1))))
+    for first in (0, size):
+        exponential, uniform = rng.standard_exponential(size)[0], rng.random(size)[0]
+        (t, x), (s, y) = path[first], path[first + 1]
+        # exact from t = 0; a later difference carries the rounding of the sum t
+        assert math.isclose((s - t) * 64, exponential, rel_tol=1e-9 if first else 0.0)
+        assert y[0] - x[0] == int(64 * uniform) + 1
 
 
 @pytest.mark.parametrize("x0", [(2**40,), (2**52 + 1,), (2**62,), (2**63 - 2,)])
