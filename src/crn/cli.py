@@ -202,10 +202,20 @@ def cmd_stationary(args) -> int:
     return 0
 
 
+def _check_init_inside(box: Box, x0) -> None:
+    if not box.contains(x0):
+        lo, up = list(box.lower), list(box.upper)
+        raise ValueError(f"--init state {list(x0)} lies outside the box from {lo} to {up}")
+
+
 def cmd_simulate(args) -> int:
     sys_ = _load_system(args.file)
     x0 = parse_state(args.init, sys_.network.species, discrete=True)
     cfg = SsaConfig(seed=args.seed, t_end=args.t_end, burn_in=args.burn_in)
+    # a given box is read and checked before the path runs; the default one needs the path
+    box = _parse_box(args.box, sys_.network.n) if args.compare else None
+    if box is not None:
+        _check_init_inside(box, x0)
     occ = occupancy_measure(sys_, x0, cfg)
     payload = {
         "init": list(x0),
@@ -215,19 +225,15 @@ def cmd_simulate(args) -> int:
         "occupancy": _distribution_json(occ),
     }
     if args.compare:
-        support = occ.support()
-        if args.box is not None:
-            box = _parse_box(args.box, sys_.network.n)
-        else:
+        if box is None:
+            support = occ.support()
             margin = stoch._margin(sys_.network)
             upper = tuple(
                 max(max(x[i] for x in support), x0[i]) + margin + 2
                 for i in range(sys_.network.n)
             )
             box = Box((0,) * sys_.network.n, upper)
-        if not box.contains(x0):
-            lo, up = list(box.lower), list(box.upper)
-            raise ValueError(f"--init state {list(x0)} lies outside the box from {lo} to {up}")
+            _check_init_inside(box, x0)
         comp = stoch.communicating_class(sys_, x0, box)
         dist = stoch.stationary_distribution(sys_, comp, allow_truncated=True)
         payload["compare"] = {

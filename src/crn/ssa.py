@@ -2,18 +2,20 @@
 
 Rates come from :func:`crn.kinetics.propensities`, the same definition the
 stationary solver reads, evaluated for a newly met state together with its
-one-jump successors and memoized along one path.  The first time the path
-stands in a state, its row is replaced by the running sums of its
-propensities, but the last, followed by their total.  A jump then takes
-one pair of draws, a holding time of ``1/total`` times a standard
-exponential and a uniform ``u`` times the total, and a bisection of the
-running sums for the first one above ``u`` (else the last reaction), which
-picks what a linear scan picks (Cao, Li & Petzold 2004).  The same loop
-adds each holding time within (burn_in, t_end] to the occupancy and, for
-:func:`ssa_path`, appends the jump to the path.  A state off the
-nonnegative orthant has no positive rate, so a path started there stays
-put; a state whose total propensity is not finite raises
-:class:`NonFiniteStateError`.
+one-jump successors and memoized along one path.  The path numbers a state
+the first time it moves there and keeps, by number, the state, its
+occupancy, the number each reaction leads to once that move is followed,
+and the running sums of its propensities, but the last, followed by their
+total, once it stands there; a move made before is list indexing alone,
+with no tuple built or hashed.  A jump takes one pair of draws, a holding
+time of ``1/total`` times a standard exponential and a uniform ``u`` times
+the total, and a bisection of the running sums for the first one above
+``u`` (else the last reaction), which picks what a linear scan picks
+(Cao, Li & Petzold 2004).  The same loop adds each holding time within
+(burn_in, t_end] to the occupancy and, for :func:`ssa_path`, appends the
+jump to the path.  A state off the nonnegative orthant has no positive
+rate, so a path started there stays put; a state whose total propensity
+is not finite raises :class:`NonFiniteStateError`.
 
 Randomness comes from numpy's counter-based Philox generator keyed by the
 64-bit seed, drawn as ``_DRAW_BLOCK`` standard exponentials, then as many
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add
 
 import numpy as np
@@ -38,8 +40,9 @@ from .model import MassActionSystem, Measure, discrete_state
 __all__ = ["SsaConfig", "ssa_path", "occupancy_measure", "tv_distance"]
 
 DEFAULT_JUMP_CAP = 10**8
-# Rows a path keeps memoized; past this the memo starts again empty, so a
-# path that keeps meeting new states holds memory for its occupancy alone.
+# Numbered and fetched rows a path keeps memoized; past this the memo starts
+# again empty and the states are numbered anew, their occupancy carried over,
+# so a path that keeps meeting new states holds memory for its occupancy alone.
 _MEMO_ROWS = 2**16
 _DRAW_BLOCK = 256  # draw pairs per block; the block layout is part of what defines a path
 
@@ -69,7 +72,8 @@ class SsaConfig:
 def _run(sys: MassActionSystem, x0, cfg: SsaConfig, jump_cap: int, path) -> dict:
     """Runs one path to t_end or absorption; returns its occupancy weights.
 
-    The weights are the time spent in each state within (burn_in, t_end].
+    The weights are the time spent in each state within (burn_in, t_end],
+    in the order each state's first positive span was added.
     Each jump appends (event_time, new_state) to ``path`` unless it is None.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed & (2**64 - 1))))
@@ -79,53 +83,79 @@ def _run(sys: MassActionSystem, x0, cfg: SsaConfig, jump_cap: int, path) -> dict
         for _ in repeat(None)
     )
     vectors = [tuple(int(v) for v in row) for row in sys.network.reaction_vectors]
-    last = len(vectors) - 1
+    r, last = len(vectors), len(vectors) - 1
+    unset = [-1] * r
     burn_in, horizon = cfg.effective_burn_in, cfg.t_end
-    # propensity rows fetched for states not yet visited, and for each
-    # visited state the running sums of its row but the last, then the total
+    # propensity rows fetched for states not yet visited
     fetched: dict[tuple[int, ...], tuple[float, ...]] = {}
-    rows: dict[tuple[int, ...], tuple[float, ...]] = {}
-    weights: dict[tuple[int, ...], float] = {}
     x = discrete_state(x0, sys.network.n)
-    t = 0.0
-    jumps = 0
+    # the start and the states the path moves into, numbered in that order:
+    # states[i], its running sums (None until the path stands there), its
+    # occupancy, and succ[i * r + k], the number reaction k leads to (-1
+    # until followed)
+    number = {x: 0}
+    states, rows, occ, succ = [x], [None], [0.0], unset[:]
+    # a state's key is placed at its first positive span and its value is
+    # taken from occ when the memo starts again and at the end
+    weights: dict[tuple[int, ...], float] = {}
+    i, t, jumps, near = 0, 0.0, 0, -1
     with np.errstate(over="ignore"):
         for e, u in draws:
-            row = rows.get(x)
+            row = rows[i]
             if row is None:
+                x = states[i]
                 a = fetched.pop(x, None)
                 if a is None:
-                    if len(fetched) + len(rows) > _MEMO_ROWS:
+                    if len(fetched) + len(states) > _MEMO_ROWS:
+                        weights.update(compress(zip(states, occ), occ))
                         fetched.clear()
-                        rows.clear()
+                        number = {x: 0}
+                        states, rows, occ, succ = [x], [None], [weights.get(x, 0.0)], unset[:]
+                        i = 0
                     batch = [x] + [tuple(map(add, x, vec)) for vec in vectors]
                     fetched.update(zip(batch, map(tuple, propensities(sys, batch).tolist())))
                     a = fetched.pop(x)
+                    near = i  # batch holds the successors of state near
                 total = sum(a)
                 if not total < math.inf:
                     raise NonFiniteStateError(f"total propensity at state {list(x)} is {total}")
                 if total <= 0.0:
                     break
-                row = rows[x] = (*accumulate(a[:-1]), total)
+                row = rows[i] = (*accumulate(a[:-1]), total)
             total = row[-1]
             # a holding time of scale 1/total, as numpy's exponential() forms it
             s = t + 1.0 / total * e
             if s > horizon:
                 break
             # the first reaction whose running sum exceeds u, else the last
-            y = tuple(map(add, x, vectors[bisect_right(row, u * total, 0, last)]))
+            k = bisect_right(row, u * total, 0, last)
+            j = succ[i * r + k]
+            if j < 0:
+                y = batch[k + 1] if near == i else tuple(map(add, states[i], vectors[k]))
+                j = number.setdefault(y, len(states))
+                if j == len(states):  # new to this memo; occ keeps what it gathered before
+                    states.append(y)
+                    rows.append(None)
+                    occ.append(weights.get(y, 0.0))
+                    succ += unset
+                succ[i * r + k] = j
             span = s - (t if t > burn_in else burn_in)
             if span > 0:
-                weights[x] = weights.get(x, 0.0) + span
+                w = occ[i]
+                if not w:
+                    weights[states[i]] = 0.0
+                occ[i] = w + span
             jumps += 1
             if jumps > jump_cap:
                 raise PathExplosionError(f"path exceeded {jump_cap} jumps before t_end")
             if path is not None:
-                path.append((s, y))
-            t, x = s, y
+                path.append((s, states[j]))
+            t, i = s, j
     span = horizon - (t if t > burn_in else burn_in)
     if span > 0:
-        weights[x] = weights.get(x, 0.0) + span
+        weights.setdefault(states[i], 0.0)
+        occ[i] += span
+    weights.update(compress(zip(states, occ), occ))
     return weights
 
 

@@ -405,6 +405,51 @@ def test_compare_names_an_init_state_outside_the_box(capsys, init, box, message)
     assert captured.err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("box, message", [
+    ("2", "--init state [3] lies outside the box from [0] to [2]"),
+    ("2x", "malformed box '2x'"),
+])
+def test_compare_rejects_a_given_box_before_the_path_runs(capsys, monkeypatch, box, message):
+    # a horizon of 2e5 takes a fraction of a second; the error must not wait for it
+    def no_path(*args, **kwargs):
+        raise AssertionError("occupancy_measure ran before the box was checked")
+
+    monkeypatch.setattr(crn.cli, "occupancy_measure", no_path)
+    code = main([
+        "simulate", str(NETWORKS / "birth_death.crn"), "--init", "A=3",
+        "--t-end", "200000", "--seed", "1", "--compare", "--box", box,
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
+def test_box_without_compare_is_ignored(capsys):
+    argv = ["simulate", str(NETWORKS / "birth_death.crn"), "--init", "A=3",
+            "--t-end", "5", "--seed", "1"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv, "--box", "2x") == (0, out)
+
+
+def test_simulate_bytes_do_not_depend_on_the_hash_seed():
+    # string and tuple hashes change with PYTHONHASHSEED; no path, weight or
+    # weight order may follow them
+    src = str(pathlib.Path(crn.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "crn.cli", "simulate", str(NETWORKS / "six_complex.crn"),
+            "--init", "A=30,B=20,C=10", "--t-end", "5", "--seed", "3", "--compare"]
+    outs = []
+    for hash_seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
+        done = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert b'"tv_distance"' in outs[0]
+
+
 def test_overflowing_stationary_solve_prints_only_the_error(tmp_path, capsys):
     # the suite turns warnings into errors, so a numpy overflow warning,
     # which a user would see on stderr, fails the test

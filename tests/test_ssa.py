@@ -199,6 +199,43 @@ def test_jump_loop_matches_reference_across_memo_restarts(monkeypatch):
         assert len({x for _, x in path}) > 8
 
 
+def fetched_twice(monkeypatch, sys, x0, cfg):
+    """States whose propensities the path fetched again after a memo restart."""
+    heads = []
+    kernel = crn.ssa.propensities
+
+    def counted(sys, batch):
+        heads.append(batch[0])
+        return kernel(sys, batch)
+
+    monkeypatch.setattr(crn.ssa, "propensities", counted)
+    occupancy_measure(sys, x0, cfg)
+    monkeypatch.setattr(crn.ssa, "propensities", kernel)
+    return {x for x in heads if heads.count(x) > 1}
+
+
+@pytest.mark.parametrize("memo_rows", [1, 2, 8])
+@pytest.mark.parametrize("text, x0, t_end", [
+    ("0 <-> A : 10, 1", (10,), 20.0),
+    (crn.corpus.SIX_COMPLEX, (3, 2, 1), 10.0),
+])
+def test_memo_restarts_renumber_states_the_path_comes_back_to(monkeypatch, memo_rows, text, x0, t_end):
+    # a state is fetched once per memo; fetched again, it was numbered before
+    # a restart and its occupancy carries over into the new numbering
+    sys = parse_network(text)
+    monkeypatch.setattr(crn.ssa, "_MEMO_ROWS", memo_rows)
+    for seed in (1, 2, 12345):
+        cfg = SsaConfig(seed, t_end)
+        assert len(fetched_twice(monkeypatch, sys, x0, cfg)) > 1
+        path = assert_same_as_reference(sys, x0, cfg, memo_rows=memo_rows)
+        # the jump cap is overrun at the same jump as the reference's
+        jumps = len(path) - 1
+        assert ssa_path(sys, x0, cfg, jump_cap=jumps) == path
+        with pytest.raises(PathExplosionError):
+            ssa_path(sys, x0, cfg, jump_cap=jumps - 1)
+        assert_same_as_reference(sys, x0, cfg, jump_cap=jumps - 1, memo_rows=memo_rows)
+
+
 def test_jump_loop_matches_reference_with_zero_rates_between_positive_ones():
     # a reaction of order 2 or 3 has rate zero below its source, so running
     # sums tie; the first sum above u, and the last reaction past them, win
