@@ -3,7 +3,17 @@
 Run as: python3 demos/01_networks_and_structure.py
 """
 
+import pathlib
+
 import crn
+
+NETWORKS = pathlib.Path(__file__).resolve().parent / "networks"
+
+
+def load(name):
+    """Parse one of the example networks in ``demos/networks``."""
+    return crn.parse_network((NETWORKS / f"{name}.crn").read_text(encoding="utf-8"))
+
 
 # A network is written one reaction per line; `<->` lines carry a forward
 # and a backward rate constant.  `0` is the empty complex.
@@ -38,10 +48,10 @@ print("conserved quantities:", [tuple(str(v) for v in w) for w in conserved])
 
 # Directed cycle enumeration (the raw material of cycle balance) and the
 # active subnetwork at a state.
-square = crn.corpus.load("square")
+square = load("square")
 cycles = crn.simple_cycles(square.network)
 print("\nsquare system directed cycles:", [c.complexes for c in cycles])
 
-acr = crn.corpus.load("absolute_concentration")
+acr = load("absolute_concentration")
 sub = crn.active_subnetwork(acr, [(0, 1)])
 print("active subnetwork of B->A, A+B->2B at x=(0,1):", sub.r, "reaction(s)")

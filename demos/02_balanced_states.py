@@ -4,7 +4,16 @@ solve for balanced equilibria.
 Run as: python3 demos/02_balanced_states.py
 """
 
+import pathlib
+
 import crn
+
+NETWORKS = pathlib.Path(__file__).resolve().parent / "networks"
+
+
+def load(name):
+    """Parse one of the example networks in ``demos/networks``."""
+    return crn.parse_network((NETWORKS / f"{name}.crn").read_text(encoding="utf-8"))
 
 
 def show(name, rep):
@@ -18,13 +27,13 @@ def show(name, rep):
 # The triangle on 2A, A+B, 2B (constants 1,1,2,2,1,1): the state (1,1) is
 # reaction vector balanced and cycle balanced, yet neither reaction nor
 # complex balanced.  One condition never implies the others.
-triangle = crn.corpus.load("triangle")
+triangle = load("triangle")
 show("triangle at (1,1)", crn.classify_state(triangle, [1.0, 1.0]))
 
 # The square on 3A, 2A+B, 3B, A+2B (2 clockwise / 1 counterclockwise):
 # complex and reaction vector balanced at (1,1), but the cycle products are
 # 16 vs 1, so not cycle balanced and not reaction balanced.
-square = crn.corpus.load("square")
+square = load("square")
 rep = show("square at (1,1)", crn.classify_state(square, [1.0, 1.0]))
 print("  square is cycle balanced as a system:", crn.system_cycle_balanced(square))
 print("  triangle is cycle balanced as a system:", crn.system_cycle_balanced(triangle))
@@ -41,7 +50,7 @@ print("complex balanced state of the triangle:",
 
 # Reaction vector balanced states need not be unique, even within one
 # compatibility class: 0 <-> A (6, 11), 2A <-> 3A (6, 1) has three.
-three = crn.corpus.load("rvb_three_roots")
+three = load("rvb_three_roots")
 roots = crn.solve_rvb(three)
 print("\nreaction vector balanced equilibria:",
       sorted(round(float(c[0]), 10) for c in roots))

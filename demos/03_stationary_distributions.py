@@ -4,8 +4,17 @@ classify them against the balance conditions for measures.
 Run as: python3 demos/03_stationary_distributions.py
 """
 
+import pathlib
+
 import crn
 from crn import Box
+
+NETWORKS = pathlib.Path(__file__).resolve().parent / "networks"
+
+
+def load(name):
+    """Parse one of the example networks in ``demos/networks``."""
+    return crn.parse_network((NETWORKS / f"{name}.crn").read_text(encoding="utf-8"))
 
 
 def show(name, rep):
@@ -19,7 +28,7 @@ def show(name, rep):
 
 # A closed component: the square system conserves x_A + x_B, so the states
 # with total 3 form a finite irreducible component.
-square = crn.corpus.load("square")
+square = load("square")
 comp = crn.communicating_class(square, (3, 0), Box.cube(2, 20))
 print("component of (3,0):", comp.states, "closed:", comp.closed)
 dist = crn.stationary_distribution(square, comp)
@@ -38,7 +47,7 @@ show("square component", crn.classify_component_measure(square, comp, dist))
 # 2A<->3A (1, 3).  Every birth-death chain is reaction vector balanced
 # (detailed balanced in the Markov-chain sense), but this one is not
 # reaction balanced: no single Poisson profile matches both reaction pairs.
-bd = crn.corpus.load("birth_death")
+bd = load("birth_death")
 comp = crn.communicating_class(bd, (0,), Box.cube(1, 60))
 dist = crn.stationary_distribution(bd, comp, allow_truncated=True)
 rep = crn.classify_component_measure(bd, comp, dist)
@@ -47,7 +56,7 @@ print("  reaction-balance witness:", rep.rb.witness)
 
 # Reaction vector balance can hold on one irreducible component and fail on
 # another: the two-triangle network with catalyst C, sliced at x_C = 1 and 2.
-six = crn.corpus.load("six_complex")
+six = load("six_complex")
 for level in (1, 2):
     comp = crn.communicating_class(
         six, (0, 0, level), Box((0, 0, level), (40, 40, level))

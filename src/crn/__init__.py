@@ -53,7 +53,7 @@ from .model import (
     reaction_vector,
     stoichiometric_basis,
 )
-from .parser import SourceSpan, format_network, parse_network, parse_state
+from .parser import format_network, parse_network, parse_state
 from .graph import (
     DirectedCycle,
     active_subnetwork,
@@ -65,7 +65,6 @@ from .graph import (
 )
 from .kinetics import det_rates
 from .detbal import (
-    ReactionVectorClasses,
     StateBalanceReport,
     classify_state,
     drift,
@@ -92,6 +91,5 @@ from .stoch import (
 )
 from .ssa import SsaConfig, occupancy_measure, ssa_path, tv_distance
 from .bridge import analyze_system
-from . import corpus
 
 __version__ = "0.1.0"

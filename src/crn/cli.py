@@ -98,6 +98,9 @@ def _parse_box(text: str | None, n: int) -> Box | None:
         raise ParseError(f"malformed box {text!r}")
     if not all(-(2**63) <= v < 2**63 for v in values):
         raise ParseError(f"box bound outside the signed 64-bit range in {text!r}")
+    # [0, v] has v + 1 points; stoch._Frame holds no side of 2**63 or more
+    if max(values) >= 2**63 - 1:
+        raise ParseError("box has a side of 2**63 or more points")
     if len(values) == 1:
         return Box.cube(n, values[0])
     if len(values) != n:

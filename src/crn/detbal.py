@@ -38,13 +38,13 @@ from .kinetics import det_rates
 from .model import (
     MassActionSystem,
     Verdict,
+    _in_order_sum,
     conserved_matrix,
     det_state,
 )
 
 __all__ = [
     "StateBalanceReport",
-    "ReactionVectorClasses",
     "reaction_vector_classes",
     "drift",
     "is_equilibrium",
@@ -62,17 +62,6 @@ def _close(lhs: float, rhs: float, tol: float) -> bool:
     return abs(lhs - rhs) <= tol * (1.0 + abs(lhs) + abs(rhs))
 
 
-@dataclass(frozen=True)
-class ReactionVectorClasses:
-    """Reactions grouped by displacement vector, with xi and -xi merged.
-
-    The representative xi has its first nonzero entry positive; ``forward``
-    holds indices of reactions with vector +xi, ``backward`` those with -xi.
-    """
-
-    classes: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]
-
-
 def _canonical_xi(vec) -> tuple[tuple[int, ...], int]:
     xi = tuple(int(v) for v in vec)
     first = next(v for v in xi if v != 0)
@@ -81,15 +70,21 @@ def _canonical_xi(vec) -> tuple[tuple[int, ...], int]:
     return xi, +1
 
 
-def reaction_vector_classes(net) -> ReactionVectorClasses:
+def reaction_vector_classes(
+    net,
+) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Reactions grouped by displacement vector, with xi and -xi merged.
+
+    Maps each representative xi, whose first nonzero entry is positive and
+    in sorted order, to (indices of reactions with vector +xi, those with
+    -xi).
+    """
     classes: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     for k in range(net.r):
         xi, sign = _canonical_xi(net.reaction_vectors[k])
         fwd, bwd = classes.setdefault(xi, ([], []))
         (fwd if sign > 0 else bwd).append(k)
-    return ReactionVectorClasses(
-        {xi: (tuple(f), tuple(b)) for xi, (f, b) in sorted(classes.items())}
-    )
+    return {xi: (tuple(f), tuple(b)) for xi, (f, b) in sorted(classes.items())}
 
 
 @dataclass(frozen=True)
@@ -162,15 +157,6 @@ def _log_product_mismatch(fwd, bwd, tol, factor_scale):
     return as_float(lf), as_float(lb)
 
 
-def _in_order_sum(terms):
-    """Sum accumulated left to right from 0.0, as Python's ``sum`` would;
-    terms may be floats or arrays."""
-    total = 0.0
-    for term in terms:
-        total = total + term
-    return total
-
-
 @lru_cache(maxsize=512)
 def _balance_equations(net) -> tuple[tuple[str, str, tuple, tuple], ...]:
     """Every rb, cb, rvb and cyb equation of ``net`` once, in witness order.
@@ -215,7 +201,7 @@ def _balance_equations(net) -> tuple[tuple[str, str, tuple, tuple], ...]:
         )
         if outgoing or incoming:
             equations.append(("cb", f"cb:{name(i)}", ((zero, outgoing),), incoming))
-    for xi, (fwd, bwd) in reaction_vector_classes(net).classes.items():
+    for xi, (fwd, bwd) in reaction_vector_classes(net).items():
         equations.append(("rvb", f"rvb:{xi}", ((zero, fwd),), ((vector(xi), bwd),)))
     for cycle in cycles_of(net):
         edges = cycle.edges()
@@ -402,7 +388,7 @@ def solve_rvb(sys: MassActionSystem, starts: int = 32) -> list[np.ndarray]:
     if starts < 0:
         raise ValueError(f"rvb starts must be nonnegative, got {starts}")
     net = sys.network
-    classes = reaction_vector_classes(net).classes
+    classes = reaction_vector_classes(net)
     if net.n == 0 or not classes:
         return []
     Y = net.source_matrix.astype(float)

@@ -17,6 +17,7 @@ from .kinetics import det_rates, propensities
 from .model import (
     Complex,
     MassActionSystem,
+    Reaction,
     ReactionNetwork,
     SpeciesTable,
     build_network,
@@ -24,7 +25,8 @@ from .model import (
     stoichiometric_basis,
 )
 
-DEFAULT_CYCLE_BUDGET = 10**6
+# Cycles enumerated before simple_cycles gives up on a network.
+_CYCLE_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -108,16 +110,13 @@ def deficiency(net: ReactionNetwork) -> int:
     return value
 
 
-def simple_cycles(
-    net: ReactionNetwork,
-    budget: int = DEFAULT_CYCLE_BUDGET,
-) -> list[DirectedCycle]:
+def simple_cycles(net: ReactionNetwork) -> list[DirectedCycle]:
     """All directed simple cycles of at least 3 complexes.
 
     Each cycle is emitted once, rotated so its smallest complex index comes
     first; the output is sorted by (length, complex tuple).  A reversible
     pair is not a cycle.  Raises :class:`CycleBudgetExceededError` beyond
-    ``budget`` cycles.
+    ``_CYCLE_BUDGET`` cycles.
     """
     out = _out_neighbors(net)
     cycles: list[DirectedCycle] = []
@@ -133,9 +132,9 @@ def simple_cycles(
                 if nxt == root:
                     if len(path) >= 3:
                         cycles.append(DirectedCycle(tuple(path)))
-                        if len(cycles) > budget:
+                        if len(cycles) > _CYCLE_BUDGET:
                             raise CycleBudgetExceededError(
-                                f"more than {budget} directed cycles"
+                                f"more than {_CYCLE_BUDGET} directed cycles"
                             )
                     continue
                 if nxt > root and nxt not in on_path:
@@ -153,7 +152,7 @@ def simple_cycles(
 
 @lru_cache(maxsize=512)
 def cycles_of(net: ReactionNetwork) -> tuple[DirectedCycle, ...]:
-    """Memoized directed-cycle enumeration within the default budget."""
+    """Memoized :func:`simple_cycles`."""
     return tuple(simple_cycles(net))
 
 
@@ -188,8 +187,6 @@ def active_subnetwork(sys: MassActionSystem, states) -> ReactionNetwork:
         for i in used_complexes
     ]
     pos = {old: new for new, old in enumerate(used_complexes)}
-    from .model import Reaction  # local import to avoid a cluttered header
-
     new_reactions = [
         Reaction(pos[net.reactions[k].source], pos[net.reactions[k].target])
         for k in active

@@ -161,16 +161,12 @@ class ReactionNetwork:
         return species, weight, offset, np.array(starts, dtype=np.intp), degree
 
     @cached_property
-    def target_matrix(self) -> np.ndarray:
+    def reaction_vectors(self) -> np.ndarray:
+        """r x n integer matrix of target-minus-source vectors."""
         out = np.zeros((self.r, self.n), dtype=np.int64)
         for k, rxn in enumerate(self.reactions):
             out[k] = self.complexes[rxn.target].coeffs
-        return out
-
-    @cached_property
-    def reaction_vectors(self) -> np.ndarray:
-        """r x n integer matrix of target-minus-source vectors."""
-        return self.target_matrix - self.source_matrix
+        return out - self.source_matrix
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
@@ -393,6 +389,19 @@ class MassActionSystem:
 # measures
 # ---------------------------------------------------------------------------
 
+def _in_order_sum(terms):
+    """Sum accumulated left to right from 0.0; terms may be floats or arrays.
+
+    The built-in ``sum`` compensates float rounding from Python 3.12 on, so
+    a float sum that must give the same bits on every interpreter is taken
+    here instead.
+    """
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
+
+
 @dataclass(frozen=True)
 class Measure:
     """Finitely supported nonnegative weight map on integer states."""
@@ -411,7 +420,7 @@ class Measure:
         return self.weights.get(tuple(x), 0.0)
 
     def total(self) -> float:
-        return float(sum(self.weights.values()))
+        return float(_in_order_sum(self.weights.values()))
 
     def support(self) -> list[tuple[int, ...]]:
         return sorted(x for x, w in self.weights.items() if w > 0)

@@ -47,19 +47,7 @@ from .model import (
     empty_network,
 )
 
-__all__ = ["SourceSpan", "parse_network", "parse_state", "format_network"]
-
-
-@dataclass(frozen=True)
-class SourceSpan:
-    """1-based position of a token in the input text."""
-
-    line: int
-    column: int
-
-    def __post_init__(self):
-        if self.line < 1 or self.column < 1:
-            raise ValueError("source spans are 1-based")
+__all__ = ["parse_network", "parse_state", "format_network"]
 
 
 _TOKEN_RE = re.compile(
@@ -81,7 +69,7 @@ _TOKEN_RE = re.compile(
 class _Token:
     kind: str
     text: str
-    span: SourceSpan
+    column: int  # 1-based, on the line being parsed
 
 
 def _tokenize(line: str, lineno: int) -> list[_Token]:
@@ -93,7 +81,7 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
             raise ParseError(f"unexpected character {line[pos]!r}", lineno, pos + 1)
         kind = match.lastgroup
         if kind != "WS":
-            tokens.append(_Token(kind, match.group(), SourceSpan(lineno, pos + 1)))
+            tokens.append(_Token(kind, match.group(), pos + 1))
         pos = match.end()
     return tokens
 
@@ -111,7 +99,7 @@ class _LineParser:
         tok = self.peek()
         if tok is None:
             last = self.tokens[-1]
-            raise ParseError("unexpected end of line", self.lineno, last.span.column + len(last.text))
+            raise ParseError("unexpected end of line", self.lineno, last.column + len(last.text))
         self.pos += 1
         return tok
 
@@ -120,8 +108,8 @@ class _LineParser:
             tok = self.peek()
         if tok is None:
             last = self.tokens[-1]
-            raise ParseError(message, self.lineno, last.span.column + len(last.text))
-        raise ParseError(message, tok.span.line, tok.span.column)
+            raise ParseError(message, self.lineno, last.column + len(last.text))
+        raise ParseError(message, self.lineno, tok.column)
 
     def parse_side(self) -> dict[str, int]:
         coeffs: dict[str, int] = {}
@@ -143,7 +131,7 @@ class _LineParser:
                     self.error("expected a species name after the coefficient", ident)
                 if coeff == 0:
                     raise ZeroCoefficientError(
-                        f"explicit zero coefficient on {ident.text}", tok.span.line, tok.span.column
+                        f"explicit zero coefficient on {ident.text}", self.lineno, tok.column
                     )
                 name = ident.text
             elif tok.kind == "IDENT":
@@ -164,7 +152,7 @@ class _LineParser:
         value = float(tok.text)
         if not value > 0:
             raise NonpositiveRateError(
-                f"rate constant must be positive, got {tok.text}", tok.span.line, tok.span.column
+                f"rate constant must be positive, got {tok.text}", self.lineno, tok.column
             )
         return value
 
@@ -191,8 +179,8 @@ def _parse_line(tokens: list[_Token], lineno: int):
     if len(rates) != expected:
         raise RateArityError(
             f"{arrow_tok.text} takes exactly {expected} rate constant(s), got {len(rates)}",
-            arrow_tok.span.line,
-            arrow_tok.span.column,
+            lineno,
+            arrow_tok.column,
         )
     return lhs, arrow_tok.kind, rhs, rates
 

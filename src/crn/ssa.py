@@ -5,17 +5,18 @@ stationary solver reads, evaluated for a newly met state together with its
 one-jump successors and memoized along one path.  The path numbers a state
 the first time it moves there and keeps, by number, the state, its
 occupancy, the number each reaction leads to once that move is followed,
-and the running sums of its propensities, but the last, followed by their
-total, once it stands there; a move made before is list indexing alone,
-with no tuple built or hashed.  A jump takes one pair of draws, a holding
-time of ``1/total`` times a standard exponential and a uniform ``u`` times
-the total, and a bisection of the running sums for the first one above
-``u`` (else the last reaction), which picks what a linear scan picks
-(Cao, Li & Petzold 2004).  The same loop adds each holding time within
-(burn_in, t_end] to the occupancy and, for :func:`ssa_path`, appends the
-jump to the path.  A state off the nonnegative orthant has no positive
-rate, so a path started there stays put; a state whose total propensity
-is not finite raises :class:`NonFiniteStateError`.
+and the running sums of its propensities, the last their total, once it
+stands there; a move made before is list indexing alone, with no tuple
+built or hashed.  Every float sum is taken left to right, so the same seed
+gives the same path on every Python version.  A jump takes one pair of
+draws, a holding time of ``1/total`` times a standard exponential and a
+uniform ``u`` times the total, and a bisection of the running sums for the
+first one above ``u`` (else the last reaction), which picks what a linear
+scan picks (Cao, Li & Petzold 2004).  The same loop adds each holding time
+within (burn_in, t_end] to the occupancy and, for :func:`ssa_path`,
+appends the jump to the path.  A state off the nonnegative orthant has no
+positive rate, so a path started there stays put; a state whose total
+propensity is not finite raises :class:`NonFiniteStateError`.
 
 Randomness comes from numpy's counter-based Philox generator keyed by the
 64-bit seed, drawn as ``_DRAW_BLOCK`` standard exponentials, then as many
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import NonFiniteStateError, NotNormalizedError, PathExplosionError
 from .kinetics import propensities
-from .model import MassActionSystem, Measure, discrete_state
+from .model import MassActionSystem, Measure, _in_order_sum, discrete_state
 
 __all__ = ["SsaConfig", "ssa_path", "occupancy_measure", "tv_distance"]
 
@@ -116,12 +117,13 @@ def _run(sys: MassActionSystem, x0, cfg: SsaConfig, jump_cap: int, path) -> dict
                     fetched.update(zip(batch, map(tuple, propensities(sys, batch).tolist())))
                     a = fetched.pop(x)
                     near = i  # batch holds the successors of state near
-                total = sum(a)
-                if not total < math.inf:
-                    raise NonFiniteStateError(f"total propensity at state {list(x)} is {total}")
-                if total <= 0.0:
+                # running sums, the last the total (0 with no reactions)
+                row = tuple(accumulate(a)) or (0.0,)
+                if not row[-1] < math.inf:
+                    raise NonFiniteStateError(f"total propensity at state {list(x)} is {row[-1]}")
+                if row[-1] <= 0.0:
                     break
-                row = rows[i] = (*accumulate(a[:-1]), total)
+                rows[i] = row
             total = row[-1]
             # a holding time of scale 1/total, as numpy's exponential() forms it
             s = t + 1.0 / total * e
@@ -183,7 +185,7 @@ def occupancy_measure(
 ) -> Measure:
     """Time-weighted occupancy over (burn_in, t_end], normalized."""
     weights = _run(sys, x0, cfg, jump_cap, None)
-    total = sum(weights.values())
+    total = _in_order_sum(weights.values())
     return Measure(
         {x: w / total for x, w in sorted(weights.items()) if w > 0}, normalized=True
     )
@@ -195,4 +197,4 @@ def tv_distance(mu: Measure, nu: Measure) -> float:
         if not m.normalized:
             raise NotNormalizedError("tv_distance needs normalized measures")
     states = set(mu.weights) | set(nu.weights)
-    return 0.5 * sum(abs(mu(x) - nu(x)) for x in states)
+    return 0.5 * _in_order_sum(abs(mu(x) - nu(x)) for x in states)

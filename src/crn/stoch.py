@@ -41,18 +41,13 @@ from .errors import (
     NotClosedError,
     SolveFailureError,
 )
-from .detbal import (
-    _balance_equations,
-    _in_order_sum,
-    _log_product_mismatch,
-    reaction_vector_classes,
-)
-from .graph import cycles_of
+from .detbal import _balance_equations, _log_product_mismatch, reaction_vector_classes
 from .kinetics import propensities
 from .model import (
     MassActionSystem,
     Measure,
     Verdict,
+    _in_order_sum,
     discrete_state,
     stoichiometric_basis,
 )
@@ -146,10 +141,6 @@ class ComponentResult:
     @cached_property
     def states(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.points.tolist()))
-
-    @property
-    def state_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.states)
 
     def _key(self):
         return self.states, *(getattr(self, f.name) for f in fields(self) if f.compare)
@@ -548,7 +539,7 @@ def stationary_distribution(
         upper = max(upper, int(reach.max(initial=0)))
     width = lower + upper
     R = np.zeros(size * (width + 1) + lower)
-    classes = reaction_vector_classes(net).classes.values()
+    classes = reaction_vector_classes(net).values()
     for group in (g for pair in classes for g in pair if g):
         total = _in_order_sum(rate(k) for k in group)
         (rows,) = np.nonzero(total > 0)
@@ -607,7 +598,7 @@ def poisson_product(c, states) -> Measure:
     logs = np.zeros(len(points)) + _in_order_sum((points * np.log(c) - lgamma).T)
     weights = np.array([math.exp(v) for v in (logs - logs.max()).tolist()])
     (support,) = np.nonzero(weights > 0)
-    weights = weights[support] / sum(weights.tolist())
+    weights = weights[support] / _in_order_sum(weights.tolist())
     keys = map(tuple, points[support].tolist())
     return Measure(dict(zip(keys, weights.tolist())), normalized=True)
 
@@ -675,25 +666,6 @@ def classification_domain(
         pad_lower.append(pad if safe_low else 0)
         pad_upper.append(pad if frozen_axis[i] else 0)
     return component.box.expand(tuple(pad_lower), tuple(pad_upper)), component.exit_faces
-
-
-class _ConditionTally:
-    """Accumulates pass/fail/skip for one balance condition."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.checked = 0
-        self.skipped = 0
-        self.witness: Verdict | None = None
-
-    def verdict(self, structurally_empty: bool) -> Verdict:
-        if self.witness is not None:
-            return self.witness
-        if structurally_empty:
-            return Verdict.ok()
-        if self.checked == 0 and self.skipped > 0:
-            return Verdict.undetermined()
-        return Verdict.ok()
 
 
 def classify_measure(
@@ -775,7 +747,8 @@ def _classify(sys, mu, domain, tol, truncation_faces, component) -> MeasureBalan
         bad = np.flatnonzero(~close)
         return None if not len(bad) else (bad[0], lhs[bad[0]], rhs[bad[0]])
 
-    tallies = {name: _ConditionTally(name) for name in ("rb", "cb", "rvb", "cyb", "stationary")}
+    # [checked, skipped, witness] per condition
+    tallies = {name: [0, 0, None] for name in ("rb", "cb", "rvb", "cyb", "stationary")}
 
     def run_instances(name, label, refs, evaluate):
         """An instance at x references x shifted by each of ``refs``; the
@@ -788,13 +761,13 @@ def _classify(sys, mu, domain, tol, truncation_faces, component) -> MeasureBalan
         for d in refs:
             trusted &= interior(x + d)
         x = x[trusted]
-        tally.checked += len(x)
-        tally.skipped += len(trusted) - len(x)
-        if tally.witness is None and len(x):
+        tally[0] += len(x)
+        tally[1] += len(trusted) - len(x)
+        if tally[2] is None and len(x):
             found = evaluate(x)
             if found is not None:
                 i, lhs, rhs = found
-                tally.witness = Verdict.fail(tuple(x[i].tolist()), label, lhs, rhs)
+                tally[2] = Verdict.fail(tuple(x[i].tolist()), label, lhs, rhs)
 
     def flux(x, shift, reactions):
         """mu(x + shift) times the total rate of ``reactions`` at x + shift."""
@@ -829,14 +802,14 @@ def _classify(sys, mu, domain, tol, truncation_faces, component) -> MeasureBalan
 
     run_instances("stationary", "stationary", [0, *(-vecs)], stationarity)
 
-    skipped_total = sum(t.skipped for t in tallies.values())
+    # a condition fails at its witness, is undetermined when every instance
+    # of it was skipped, and holds otherwise
+    verdicts = {
+        name: witness or (Verdict.undetermined() if skipped and not checked else Verdict.ok())
+        for name, (checked, skipped, witness) in tallies.items()
+    }
     return MeasureBalanceReport(
-        rb=tallies["rb"].verdict(structurally_empty=net.r == 0),
-        cb=tallies["cb"].verdict(structurally_empty=net.r == 0),
-        rvb=tallies["rvb"].verdict(structurally_empty=net.r == 0),
-        cyb=tallies["cyb"].verdict(structurally_empty=not cycles_of(net)),
-        stationary=tallies["stationary"].verdict(structurally_empty=net.r == 0),
-        boundary_skipped=skipped_total,
+        **verdicts, boundary_skipped=sum(skipped for _, skipped, _ in tallies.values())
     )
 
 

@@ -1,5 +1,6 @@
-"""Shared test utilities: random system generators, brute-force oracles, and
-runners for a call's outcome and a fresh interpreter's loaded modules.
+"""Shared test utilities: the example networks, random system generators,
+brute-force oracles, and runners for a call's outcome and a fresh
+interpreter's loaded modules.
 
 Generators are driven by a caller-supplied numpy Generator so suites can pin
 a master seed.  Oracles are deliberately naive re-derivations (union-find,
@@ -28,6 +29,17 @@ from crn import (
     parse_network,
     stoch,
 )
+
+NETWORKS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "networks"
+# The example networks by name, as the text of their ``.crn`` files.
+CORPUS: dict[str, str] = {
+    path.stem: path.read_text(encoding="utf-8") for path in sorted(NETWORKS.glob("*.crn"))
+}
+
+
+def load(name: str) -> MassActionSystem:
+    """Parse one of the example networks by name."""
+    return parse_network(CORPUS[name])
 
 
 def compositions(total, parts):

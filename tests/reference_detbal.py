@@ -144,7 +144,7 @@ def classify_state(sys: MassActionSystem, c, tol: float = 1e-9) -> StateBalanceR
             break
 
     rvb = Verdict.ok()
-    for xi, (fwd, bwd) in reaction_vector_classes(net).classes.items():
+    for xi, (fwd, bwd) in reaction_vector_classes(net).items():
         lhs = sum(float(rates[k]) for k in fwd)
         rhs = sum(float(rates[k]) for k in bwd)
         if not _close(lhs, rhs, tol):
@@ -167,7 +167,7 @@ def solve_rvb(sys: MassActionSystem, starts: int = 32) -> list[np.ndarray]:
     """Positive reaction vector balanced states found by multi-start Newton,
     one start after the other."""
     net = sys.network
-    classes = reaction_vector_classes(net).classes
+    classes = reaction_vector_classes(net)
     if net.n == 0 or not classes:
         return []
     Y = net.source_matrix.astype(float)

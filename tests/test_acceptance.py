@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 
-import crn
 from crn import (
     Box,
     Measure,
@@ -35,7 +34,7 @@ from crn import (
 from crn.cli import main
 from crn.errors import NotReversibleError
 
-from helpers import random_weakly_reversible_deficiency_zero
+from helpers import CORPUS, load, random_weakly_reversible_deficiency_zero
 import test_properties
 
 
@@ -54,7 +53,7 @@ def criterion(number, description):
 def test_criterion_1_triangle_classification(capsys, tmp_path):
     with criterion(1, "triangle state (1,1): rb/cb fail, rvb/cyb hold"):
         path = tmp_path / "triangle.crn"
-        path.write_text(crn.corpus.TRIANGLE)
+        path.write_text(CORPUS["triangle"])
         start = time.perf_counter()
         code = main(
             ["classify-state", str(path), "--state", "A=1,B=1", "--tol", "1e-9"]
@@ -76,7 +75,7 @@ def test_criterion_1_triangle_classification(capsys, tmp_path):
 def test_criterion_2_square_classification():
     with criterion(2, "square state (1,1): cb/rvb hold, cyb/rb fail; products 16 vs 1"):
         start = time.perf_counter()
-        sys = parse_network(crn.corpus.SQUARE)
+        sys = load("square")
         rep = classify_state(sys, [1.0, 1.0], tol=1e-9)
         assert rep.cb.holds and rep.rvb.holds
         assert rep.cyb.fails and rep.rb.fails
@@ -88,7 +87,7 @@ def test_criterion_2_square_classification():
 
 def test_criterion_3_three_rvb_equilibria():
     with criterion(3, "three reaction vector balanced equilibria at 1, 2, 3"):
-        sys = parse_network(crn.corpus.RVB_THREE_ROOTS)
+        sys = load("rvb_three_roots")
         roots = solve_rvb(sys)
         values = sorted(float(c[0]) for c in roots)
         assert len(values) == 3
@@ -103,7 +102,7 @@ def test_criterion_3_three_rvb_equilibria():
 
 def test_criterion_4_acr_line_and_empty_class():
     with criterion(4, "(1, l-1) is rvb for l in {2,3,5}; no equilibrium on total=1"):
-        sys = parse_network(crn.corpus.ABSOLUTE_CONCENTRATION)
+        sys = load("absolute_concentration")
         for l in (2, 3, 5):
             rep = classify_state(sys, [1.0, float(l - 1)], tol=1e-9)
             assert rep.rvb.holds
@@ -117,7 +116,7 @@ def test_criterion_4_acr_line_and_empty_class():
 
 def test_criterion_5_stochastic_rvb_example():
     with criterion(5, "stochastic-RVB chain: product formula, rvb holds, no det solution"):
-        sys = parse_network(crn.corpus.STOCH_RVB_ONLY)
+        sys = load("stoch_rvb_only")
         comp = communicating_class(sys, (0,), Box.cube(1, 30))
         dist = stationary_distribution(sys, comp, allow_truncated=True)
         ref = {}
@@ -137,7 +136,7 @@ def test_criterion_5_stochastic_rvb_example():
 
 def test_criterion_6_birth_death():
     with criterion(6, "birth-death: rvb holds, rb fails with witness, cyb holds; box-stable"):
-        sys = parse_network(crn.corpus.BIRTH_DEATH)
+        sys = load("birth_death")
         comp = communicating_class(sys, (0,), Box.cube(1, 60))
         dist = stationary_distribution(sys, comp, allow_truncated=True)
         rep = classify_component_measure(sys, comp, dist, tol=1e-9)
@@ -152,10 +151,10 @@ def test_criterion_6_birth_death():
 def test_criterion_7_product_form_bridge():
     with criterion(7, "complex balanced systems have product-form stationary laws"):
         cases = []
-        sq = parse_network(crn.corpus.SQUARE)
+        sq = load("square")
         cases.append((sq, communicating_class(sq, (3, 0), Box.cube(2, 20))))
         cases.append((sq, communicating_class(sq, (12, 0), Box.cube(2, 20))))
-        intro = parse_network(crn.corpus.INTRO_UNIT)
+        intro = load("intro_unit")
         cases.append(
             (intro, communicating_class(intro, (2, 1, 0), Box.cube(3, 3)))
         )
@@ -217,7 +216,7 @@ def test_criterion_8_bridge_reaction_balance_agreement():
 
 def test_criterion_9_six_complex_slices():
     with criterion(9, "six-complex counterexample: rvb only on the x_C=1 slice"):
-        sys = parse_network(crn.corpus.SIX_COMPLEX)
+        sys = load("six_complex")
         comp1 = communicating_class(sys, (0, 0, 1), Box((0, 0, 1), (40, 40, 1)))
         dist1 = stationary_distribution(sys, comp1, allow_truncated=True)
         rep1 = classify_component_measure(sys, comp1, dist1)

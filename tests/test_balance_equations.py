@@ -24,7 +24,7 @@ from crn import Box, classify_measure, classify_state, poisson_product
 from crn.errors import BalanceConsistencyError
 
 import reference_detbal as ref
-from helpers import random_positive_state, random_weakly_reversible_deficiency_zero
+from helpers import CORPUS, load, random_positive_state, random_weakly_reversible_deficiency_zero
 
 
 def _report_or_error(classify, sys, c):
@@ -71,10 +71,10 @@ def _assert_matches_reference(sys, states):
         ), (sys, c)
 
 
-@pytest.mark.parametrize("name", sorted(crn.corpus.SYSTEMS))
+@pytest.mark.parametrize("name", sorted(CORPUS))
 def test_classify_state_matches_reference_on_corpus(name):
-    sys = crn.corpus.load(name)
-    rng = np.random.default_rng(sorted(crn.corpus.SYSTEMS).index(name))
+    sys = load(name)
+    rng = np.random.default_rng(sorted(CORPUS).index(name))
     _assert_matches_reference(sys, _states(rng, sys))
 
 
@@ -89,15 +89,15 @@ def _box_states(n, upper):
     return list(itertools.product(range(upper + 1), repeat=n))
 
 
-@pytest.mark.parametrize("name", sorted(crn.corpus.SYSTEMS))
+@pytest.mark.parametrize("name", sorted(CORPUS))
 def test_poisson_product_measure_reads_the_equations_of_its_state(name):
-    sys = crn.corpus.load(name)
+    sys = load(name)
     n = sys.network.n
     upper = 14 if n < 3 else 9
     box = Box.cube(n, upper)
     faces = frozenset((i, +1) for i in range(n))
     states = _box_states(n, upper)
-    rng = np.random.default_rng([7, sorted(crn.corpus.SYSTEMS).index(name)])
+    rng = np.random.default_rng([7, sorted(CORPUS).index(name)])
     randoms = [random_positive_state(rng, n, 0.5, 2.5) for _ in range(4)]
     for c in randoms + _balanced_states(sys):
         det = classify_state(sys, c)

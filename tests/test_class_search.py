@@ -15,11 +15,10 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-import crn
 from crn import Box, parse_network, stoch
 
 import reference_stoch as ref
-from helpers import outcome, random_irreversible_system
+from helpers import CORPUS, outcome, random_irreversible_system
 
 
 def _shift_table(size, shifts, live):
@@ -157,9 +156,9 @@ def _summary(sys, seed, box, order):
     return states, comp.closed, comp.truncated, comp.internal_leak, faces, statuses
 
 
-@pytest.mark.parametrize("name", sorted(crn.corpus.SYSTEMS))
+@pytest.mark.parametrize("name", sorted(CORPUS))
 def test_component_ignores_reaction_and_species_order(name, monkeypatch):
-    text = crn.corpus.SYSTEMS[name]
+    text = CORPUS[name]
     sys = parse_network(text)
     n = sys.network.n
     box = Box.cube(n, 8)

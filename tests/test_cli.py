@@ -11,9 +11,7 @@ import pytest
 import crn
 from crn.cli import main
 
-from helpers import loaded_modules
-
-NETWORKS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "networks"
+from helpers import NETWORKS, load, loaded_modules
 
 
 def run_cli(capsys, *argv):
@@ -22,18 +20,12 @@ def run_cli(capsys, *argv):
     return code, out
 
 
-def test_network_files_match_corpus():
-    for name, text in crn.corpus.SYSTEMS.items():
-        path = NETWORKS / f"{name}.crn"
-        assert crn.parse_network(path.read_text()) == crn.parse_network(text)
-
-
 def test_parse_command(capsys):
     code, out = run_cli(capsys, "parse", str(NETWORKS / "intro_generic.crn"))
     assert code == 0
     payload = json.loads(out)
     assert payload["n"] == 3 and payload["m"] == 4 and payload["r"] == 4
-    assert crn.parse_network(payload["canonical"]) == crn.corpus.load("intro_generic")
+    assert crn.parse_network(payload["canonical"]) == load("intro_generic")
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -408,6 +400,7 @@ def test_compare_names_an_init_state_outside_the_box(capsys, init, box, message)
 @pytest.mark.parametrize("box, message", [
     ("2", "--init state [3] lies outside the box from [0] to [2]"),
     ("2x", "malformed box '2x'"),
+    (str(2**63 - 1), "box has a side of 2**63 or more points"),
 ])
 def test_compare_rejects_a_given_box_before_the_path_runs(capsys, monkeypatch, box, message):
     # a horizon of 2e5 takes a fraction of a second; the error must not wait for it
@@ -433,21 +426,29 @@ def test_box_without_compare_is_ignored(capsys):
     assert run_cli(capsys, *argv, "--box", "2x") == (0, out)
 
 
-def test_simulate_bytes_do_not_depend_on_the_hash_seed():
-    # string and tuple hashes change with PYTHONHASHSEED; no path, weight or
-    # weight order may follow them
+@pytest.mark.parametrize("command, rest, code, key", [
+    ("simulate", ["--init", "A=30,B=20,C=10", "--t-end", "5", "--seed", "3", "--compare"],
+     0, b'"tv_distance"'),
+    ("stationary", ["--seed-state", "A=3,B=2,C=1", "--box", "8", "--allow-truncated",
+                    "--compare-poisson"], 0, b'"tv_distance"'),
+    # the second seed's component reads violated, so witnesses are printed too
+    ("analyze", ["--seed-state", "A=3,B=2,C=1", "--seed-state", "A=0,B=0,C=2", "--box", "8"],
+     4, b'"violated"'),
+], ids=["simulate", "stationary", "analyze"])
+def test_bytes_do_not_depend_on_the_hash_seed(command, rest, code, key):
+    # string and tuple hashes change with PYTHONHASHSEED; no path, weight,
+    # verdict or their order may follow them
     src = str(pathlib.Path(crn.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "crn.cli", "simulate", str(NETWORKS / "six_complex.crn"),
-            "--init", "A=30,B=20,C=10", "--t-end", "5", "--seed", "3", "--compare"]
+    argv = [sys.executable, "-m", "crn.cli", command, str(NETWORKS / "six_complex.crn"), *rest]
     outs = []
     for hash_seed in ("0", "12345"):
         env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
         done = subprocess.run(argv, capture_output=True, env=env, timeout=120)
-        assert done.returncode == 0, done.stderr
+        assert done.returncode == code, done.stderr
         outs.append(done.stdout)
     assert outs[0] == outs[1]
-    assert b'"tv_distance"' in outs[0]
+    assert key in outs[0]
 
 
 def test_overflowing_stationary_solve_prints_only_the_error(tmp_path, capsys):

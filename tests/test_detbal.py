@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import crn
 from crn import (
     classify_state,
     det_rates,
@@ -20,14 +19,14 @@ from crn import (
 )
 from crn.errors import NonFiniteStateError, NotReversibleError, NotWeaklyReversibleError
 
-from helpers import random_conservative_reversible_system
+from helpers import CORPUS, load, random_conservative_reversible_system
 
 
-TRIANGLE = crn.corpus.TRIANGLE
-SQUARE = crn.corpus.SQUARE
-THREE_ROOTS = crn.corpus.RVB_THREE_ROOTS
-ACR = crn.corpus.ABSOLUTE_CONCENTRATION
-STOCH_RVB = crn.corpus.STOCH_RVB_ONLY
+TRIANGLE = CORPUS["triangle"]
+SQUARE = CORPUS["square"]
+THREE_ROOTS = CORPUS["rvb_three_roots"]
+ACR = CORPUS["absolute_concentration"]
+STOCH_RVB = CORPUS["stoch_rvb_only"]
 
 
 def rate_by_label(sys, c):
@@ -79,7 +78,7 @@ def test_drift_acr_equilibrium():
 
 def test_reaction_vector_classes_merge_sign():
     net = parse_network(ACR).network
-    classes = reaction_vector_classes(net).classes
+    classes = reaction_vector_classes(net)
     assert list(classes) == [(1, -1)]
     fwd, bwd = classes[(1, -1)]
     assert len(fwd) == 1 and len(bwd) == 1
@@ -139,7 +138,7 @@ def test_solve_reaction_balanced_requires_reversible():
 
 
 def test_solve_reaction_balanced_symmetric_triangle():
-    sys = parse_network(crn.corpus.MONO_TRIANGLE)
+    sys = load("mono_triangle")
     c = solve_reaction_balanced(sys)
     assert np.allclose(c, 1.0)
 
@@ -214,7 +213,7 @@ def test_stoch_rvb_polynomials_have_no_common_root():
     assert abs(p2) > 1e-3  # not a common root, so no RVB equilibrium
 
     sys = parse_network(STOCH_RVB)
-    classes = reaction_vector_classes(sys.network).classes
+    classes = reaction_vector_classes(sys.network)
     rates = det_rates(sys, [a])
     residuals = []
     for xi, (fwd, bwd) in classes.items():

@@ -17,6 +17,7 @@ from crn.errors import CycleBudgetExceededError, EmptyNetworkError
 from helpers import (
     cycles_oracle,
     linkage_oracle,
+    load,
     random_conservative_reversible_system,
     weakly_reversible_oracle,
 )
@@ -32,7 +33,7 @@ def test_linkage_classes_examples():
     assert len(part) == 2
     assert sorted(part) == linkage_oracle(net)
 
-    sq = crn.corpus.load("square").network
+    sq = load("square").network
     assert len(linkage_classes(sq)) == 1
 
     assert len(linkage_classes(empty_network())) == 0
@@ -41,7 +42,7 @@ def test_linkage_classes_examples():
 def test_reversibility_examples():
     assert is_reversible(parse_network(INTRO).network)
     # the paper's square carries all eight directed edges: reversible
-    sq = crn.corpus.load("square").network
+    sq = load("square").network
     assert is_reversible(sq) and is_weakly_reversible(sq)
     # a one-way four-cycle is weakly reversible but not reversible
     ring = parse_network(
@@ -73,7 +74,7 @@ def test_weak_reversibility_matches_oracle_on_random_networks():
 
 def test_deficiency_examples():
     assert deficiency(parse_network(INTRO).network) == 0
-    assert deficiency(crn.corpus.load("square").network) == 2
+    assert deficiency(load("square").network) == 2
     assert deficiency(parse_network("0 <-> A : 1, 1\n2A <-> 3A : 1, 1").network) == 1
     with pytest.raises(EmptyNetworkError):
         deficiency(empty_network())
@@ -87,12 +88,12 @@ def test_deficiency_nonnegative_fuzz():
 
 
 def test_simple_cycles_triangle_and_square():
-    tri = crn.corpus.load("triangle").network
+    tri = load("triangle").network
     cycles = simple_cycles(tri)
     assert len(cycles) == 2
     assert {c.complexes for c in cycles} == cycles_oracle(tri)
 
-    sq = crn.corpus.load("square").network
+    sq = load("square").network
     cycles = simple_cycles(sq)
     assert len(cycles) == 2
     assert all(len(c.complexes) == 4 for c in cycles)
@@ -112,10 +113,11 @@ def test_simple_cycles_matches_oracle_on_random_networks():
         assert got == cycles_oracle(net)
 
 
-def test_cycle_budget():
-    six = crn.corpus.load("six_complex").network
-    with pytest.raises(CycleBudgetExceededError):
-        simple_cycles(six, budget=1)
+def test_cycle_budget(monkeypatch):
+    monkeypatch.setattr(crn.graph, "_CYCLE_BUDGET", 1)
+    six = load("six_complex").network
+    with pytest.raises(CycleBudgetExceededError, match="more than 1 directed cycles"):
+        simple_cycles(six)
 
 
 def test_active_subnetwork_discrete():
@@ -135,6 +137,6 @@ def test_active_subnetwork_negative_state_is_empty():
 
 
 def test_active_subnetwork_full_at_positive_state():
-    sq = crn.corpus.load("square")
+    sq = load("square")
     assert active_subnetwork(sq, [np.array([5.0, 5.0])]) == sq.network
     assert active_subnetwork(sq, [(5, 5)]) == sq.network

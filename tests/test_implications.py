@@ -33,13 +33,15 @@ import re
 from itertools import product
 from types import SimpleNamespace
 
-from crn import bridge, corpus
+from crn import bridge
 from crn.model import Verdict
+
+from helpers import load
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "implications_golden.json"
 SCHEMA = pathlib.Path(__file__).resolve().parent.parent / "docs" / "output-schema.md"
 
-SYS = corpus.load("mono_triangle")
+SYS = load("mono_triangle")
 TOL = 1e-9
 RB_STATES = {"balanced": [1.0, 1.0, 1.0], "absent": None, "not-rvb": [1.0, 2.0, 3.0]}
 CB_STATES = {"balanced": [1.0, 1.0, 1.0], "absent": None}

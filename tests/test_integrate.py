@@ -17,11 +17,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from crn import corpus, integrate, parse_network
+from crn import integrate, parse_network
 from crn.errors import NonFiniteStateError
 from crn.model import conserved_matrix
 
 from helpers import (
+    CORPUS,
+    load,
     loaded_modules,
     random_positive_state,
     random_weakly_reversible_deficiency_zero,
@@ -106,7 +108,7 @@ def _check_against_reference(systems, starts):
 
 
 def test_integrate_matches_rk4_reference_on_corpus():
-    systems = [corpus.load(name) for name in corpus.SYSTEMS]
+    systems = [load(name) for name in sorted(CORPUS)]
     # semi_open's production A + B -> 2A + B outruns A -> 0 only while B > 2
     starts = [np.linspace(0.5, 1.5, sys.network.n) for sys in systems]
     _check_against_reference(systems, starts)

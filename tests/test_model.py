@@ -20,7 +20,7 @@ from crn.errors import (
     UnusedSpeciesError,
 )
 
-from helpers import random_conservative_reversible_system
+from helpers import load, random_conservative_reversible_system
 
 
 def intro_network():
@@ -145,7 +145,7 @@ def test_stoichiometric_basis_intro():
 
 
 def test_stoichiometric_basis_square():
-    sq = crn.corpus.load("square").network
+    sq = load("square").network
     basis, conserved = stoichiometric_basis(sq)
     assert len(basis) == 1
     assert conserved == [(Fraction(1), Fraction(1))]

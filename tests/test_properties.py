@@ -32,6 +32,7 @@ from crn import analyze_system
 from crn.errors import NotReversibleError, NotWeaklyReversibleError
 
 from helpers import (
+    load,
     random_conservative_reversible_system,
     random_positive_state,
     random_weakly_reversible_deficiency_zero,
@@ -98,7 +99,7 @@ def test_det_balanced_states_hierarchy_and_necessity():
             if rep.cb.holds:
                 assert is_weakly_reversible(sub)
             if rep.rvb.holds and not sub.is_empty:
-                classes = reaction_vector_classes(sub).classes
+                classes = reaction_vector_classes(sub)
                 assert all(fwd and bwd for fwd, bwd in classes.values())
     assert rb_hits >= 40
 
@@ -205,7 +206,7 @@ def test_stoch_balanced_measures_invariants():
             cb_hits += 1
             assert is_weakly_reversible(sub)
         if rep.rvb.holds:
-            classes = reaction_vector_classes(sub).classes
+            classes = reaction_vector_classes(sub)
             assert all(fwd and bwd for fwd, bwd in classes.values())
         # product form for complex balanced systems
         c_cb = try_solve_cb(sys)
@@ -257,13 +258,13 @@ def test_analyze_never_violates_on_corpus():
         "semi_open": Box((0, 0), (40, 8)),
     }
     for name, seeds in cases.items():
-        sys = crn.corpus.load(name)
+        sys = load(name)
         payload, violated = analyze_system(
             sys, seeds=seeds, box=boxes.get(name), rvb_starts=16
         )
         assert not violated, (name, payload["implications"])
     # the six-complex slices need per-axis boxes
-    sys = crn.corpus.load("six_complex")
+    sys = load("six_complex")
     for level in (1, 2):
         payload, violated = analyze_system(
             sys,

@@ -9,12 +9,13 @@ import warnings
 import numpy as np
 import pytest
 
-import crn
 from crn import MassActionSystem, parse_network, solve_rvb
 from crn.model import ReactionNetwork, SpeciesTable, empty_network
 
 import reference_detbal
 from helpers import (
+    CORPUS,
+    load,
     random_conservative_reversible_system,
     random_weakly_reversible_deficiency_zero,
 )
@@ -35,9 +36,9 @@ def assert_same_as_reference(sys, starts):
 
 
 @pytest.mark.parametrize("starts", [0, 1, 7, 32, 64])
-@pytest.mark.parametrize("name", sorted(crn.corpus.SYSTEMS))
+@pytest.mark.parametrize("name", sorted(CORPUS))
 def test_corpus_matches_sequential_search(name, starts):
-    assert_same_as_reference(crn.corpus.load(name), starts)
+    assert_same_as_reference(load(name), starts)
 
 
 def test_random_deficiency_zero_systems_match_sequential_search():

@@ -12,10 +12,11 @@ from crn.model import MassActionSystem
 from crn.ssa import DEFAULT_JUMP_CAP
 
 import reference_stoch as ref
+from helpers import CORPUS, load
 
 
 def test_absorbing_initial_state():
-    sys = parse_network(crn.corpus.ABSOLUTE_CONCENTRATION)
+    sys = load("absolute_concentration")
     path = ssa_path(sys, (2, 0), SsaConfig(seed=1, t_end=10.0))
     assert path == [(0.0, (2, 0))]
     occ = occupancy_measure(sys, (2, 0), SsaConfig(seed=1, t_end=10.0))
@@ -25,7 +26,7 @@ def test_absorbing_initial_state():
 def test_start_off_the_orthant_is_absorbing():
     # every propensity vanishes off the orthant, 0 -> A included, as in
     # test_communicating_class_negative_singleton
-    sys = parse_network(crn.corpus.BIRTH_DEATH)
+    sys = load("birth_death")
     cfg = SsaConfig(seed=0, t_end=10.0)
     assert ssa_path(sys, (-1,), cfg) == [(0.0, (-1,))]
     assert occupancy_measure(sys, (-1,), cfg).weights == {(-1,): 1.0}
@@ -34,7 +35,7 @@ def test_start_off_the_orthant_is_absorbing():
 def test_memo_restart_keeps_the_path(monkeypatch):
     # a path that outgrows the rate memo starts it again; rows are recomputed
     # bit for bit, so the path does not change
-    sys = crn.corpus.load("six_complex")
+    sys = load("six_complex")
     cfg = SsaConfig(seed=3, t_end=5.0)
     path = ssa_path(sys, (30, 20, 10), cfg)
     monkeypatch.setattr(crn.ssa, "_MEMO_ROWS", 8)
@@ -104,7 +105,7 @@ def test_occupancy_matches_poisson_short_run():
 
 
 def test_occupancy_stoch_rvb_long_run():
-    sys = parse_network(crn.corpus.STOCH_RVB_ONLY)
+    sys = load("stoch_rvb_only")
     occ = occupancy_measure(sys, (0,), SsaConfig(seed=17, t_end=1e5))
     ref = {}
     w = 1.0
@@ -117,7 +118,7 @@ def test_occupancy_stoch_rvb_long_run():
 
 
 def test_occupancy_support_within_reach():
-    sys = parse_network(crn.corpus.SQUARE)
+    sys = load("square")
     occ = occupancy_measure(sys, (3, 0), SsaConfig(seed=11, t_end=200.0))
     comp = crn.communicating_class(sys, (3, 0), Box.cube(2, 10))
     assert set(occ.support()) <= set(comp.states)
@@ -178,11 +179,11 @@ def assert_same_as_reference(sys, x0, cfg, jump_cap=DEFAULT_JUMP_CAP, memo_rows=
     return path
 
 
-@pytest.mark.parametrize("name", sorted(crn.corpus.SYSTEMS))
+@pytest.mark.parametrize("name", sorted(CORPUS))
 def test_jump_loop_matches_reference_on_corpus(name):
     # semi_open grows without bound; its long paths end at the jump cap,
     # which both loops must reach at the same jump
-    sys = crn.corpus.load(name)
+    sys = load(name)
     jumps = 0
     for x0 in itertools.product(range(4), repeat=sys.network.n):
         for seed, t_end in SEED_HORIZONS:
@@ -192,7 +193,7 @@ def test_jump_loop_matches_reference_on_corpus(name):
 
 
 def test_jump_loop_matches_reference_across_memo_restarts(monkeypatch):
-    sys = crn.corpus.load("six_complex")
+    sys = load("six_complex")
     monkeypatch.setattr(crn.ssa, "_MEMO_ROWS", 8)
     for seed, t_end in SEED_HORIZONS:
         path = assert_same_as_reference(sys, (30, 20, 10), SsaConfig(seed, t_end), memo_rows=8)
@@ -217,7 +218,7 @@ def fetched_twice(monkeypatch, sys, x0, cfg):
 @pytest.mark.parametrize("memo_rows", [1, 2, 8])
 @pytest.mark.parametrize("text, x0, t_end", [
     ("0 <-> A : 10, 1", (10,), 20.0),
-    (crn.corpus.SIX_COMPLEX, (3, 2, 1), 10.0),
+    pytest.param(CORPUS["six_complex"], (3, 2, 1), 10.0, id="six_complex"),
 ])
 def test_memo_restarts_renumber_states_the_path_comes_back_to(monkeypatch, memo_rows, text, x0, t_end):
     # a state is fetched once per memo; fetched again, it was numbered before
@@ -289,7 +290,7 @@ def test_jump_loop_matches_reference_across_draw_blocks():
 def test_jump_loop_matches_reference_with_small_draw_blocks(monkeypatch, size):
     # many block boundaries per path; both loops read the patched size
     monkeypatch.setattr(crn.ssa, "_DRAW_BLOCK", size)
-    sys = crn.corpus.load("six_complex")
+    sys = load("six_complex")
     for seed, t_end in SEED_HORIZONS:
         path = assert_same_as_reference(sys, (3, 2, 1), SsaConfig(seed, t_end))
         assert len(path) - 1 > 5 * size
@@ -329,8 +330,8 @@ def test_rate_scaling_only_rescales_time(k):
     # rates times 2**k and horizon times 2**-k: every draw scales exactly,
     # so the states repeat and every time is the original times 2**-k
     factor = 2.0**k
-    for name in sorted(crn.corpus.SYSTEMS):
-        sys = crn.corpus.load(name)
+    for name in sorted(CORPUS):
+        sys = load(name)
         scaled = MassActionSystem(sys.network, tuple(c * factor for c in sys.kappa))
         x0 = (2,) * sys.network.n
         for seed, t_end in SEED_HORIZONS:

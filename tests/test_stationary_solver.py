@@ -23,7 +23,7 @@ import crn
 from crn import Box, stoch
 from crn.errors import SolveFailureError
 
-from helpers import relisted
+from helpers import load, relisted
 
 NORMAL = 2.0**-1022  # smallest positive normal float
 REL = 1e-12
@@ -95,7 +95,7 @@ def _assert_matches_exact(dist, states, exact):
      ("rvb_three_roots", 2000)],
 )
 def test_one_dimensional_chain_matches_exact_product_formula(name, upper):
-    sys = crn.corpus.load(name)
+    sys = load(name)
     comp = stoch.communicating_class(sys, (0,), Box.cube(1, upper))
     assert comp.states == tuple((x,) for x in range(upper + 1))
     dist = stoch.stationary_distribution(sys, comp, allow_truncated=True)
@@ -134,7 +134,7 @@ def _exact_stationary(sys, states) -> list[Fraction]:
 def test_two_dimensional_slice_matches_exact_rational_solve(seed):
     # six_complex with the catalyst C fixed: an open 2-D class in A and B,
     # truncated by the box
-    sys = crn.corpus.load("six_complex")
+    sys = load("six_complex")
     comp = stoch.communicating_class(sys, seed, Box.cube(3, 5))
     assert len(comp.states) == 36 and comp.truncated
     dist = stoch.stationary_distribution(sys, comp, allow_truncated=True)
@@ -148,7 +148,7 @@ def _statuses(report):
 
 
 def test_birth_death_support_and_verdicts_do_not_depend_on_the_box():
-    sys = crn.corpus.load("birth_death")
+    sys = load("birth_death")
     results = []
     for upper in (799, 800, 2000, 20000):
         comp = stoch.communicating_class(sys, (0,), Box.cube(1, upper))
@@ -172,7 +172,7 @@ def test_birth_death_support_and_verdicts_do_not_depend_on_the_box():
      ("six_complex", (1, 1, 2), 12), ("square", (3, 0), 12)],
 )
 def test_state_order_does_not_change_the_distribution(name, seed, upper):
-    sys = crn.corpus.load(name)
+    sys = load(name)
     comp = stoch.communicating_class(sys, seed, Box.cube(sys.network.n, upper))
     assert len(comp.states) > 1
     sorted_dist = stoch.stationary_distribution(sys, comp, allow_truncated=True)
@@ -188,7 +188,7 @@ def test_state_order_does_not_change_the_distribution(name, seed, upper):
 @pytest.mark.parametrize("size", [400, 1000])
 def test_component_without_moves_is_not_irreducible(size):
     # birth_death moves by +-1, so no move joins two even counts
-    sys = crn.corpus.load("birth_death")
+    sys = load("birth_death")
     states = tuple((2 * i,) for i in range(size))
     comp = stoch.ComponentResult.from_states(
         sys, states, closed=True, truncated=False, seed=states[0],
@@ -222,7 +222,7 @@ def _one_pass_and_loop(sys, comp, monkeypatch):
 @pytest.mark.parametrize("upper", [1, 2, 20, 799, 800, 20000])
 @pytest.mark.parametrize("name", ["birth_death", "rvb_three_roots"])
 def test_one_dimensional_chain_matches_the_banded_loop_bit_for_bit(name, upper, monkeypatch):
-    sys = crn.corpus.load(name)
+    sys = load(name)
     comp = stoch.communicating_class(sys, (0,), Box.cube(1, upper))
     weights, loop, taken = _one_pass_and_loop(sys, comp, monkeypatch)
     assert taken and weights == loop

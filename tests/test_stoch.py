@@ -24,10 +24,10 @@ from crn.errors import (
 from crn.kinetics import propensities
 
 import reference_stoch as ref
-from helpers import loaded_modules, stationary_oracle
+from helpers import CORPUS, load, loaded_modules, stationary_oracle
 
 
-ACR = crn.corpus.ABSOLUTE_CONCENTRATION
+ACR = CORPUS["absolute_concentration"]
 
 
 def test_propensity_falling_factorials():
@@ -58,8 +58,8 @@ def test_moves_keep_reaction_identity():
 
 
 def test_moves_stoch_rvb_plus_one_rate():
-    sys = parse_network(crn.corpus.STOCH_RVB_ONLY)
-    up_one, _ = reaction_vector_classes(sys.network).classes[(1,)]
+    sys = load("stoch_rvb_only")
+    up_one, _ = reaction_vector_classes(sys.network)[(1,)]
     assert len(up_one) == 2  # two distinct reactions, kept separate
     rates = propensities(sys, [(1,)])[0]
     assert sum(rates[k] for k in up_one) == 2.0  # total +1 rate is x+1 at x=1
@@ -102,9 +102,10 @@ def test_stationary_distribution_monomolecular_pair():
     expected = {(0, 2): 0.25, (1, 1): 0.5, (2, 0): 0.25}
     for x, p in expected.items():
         assert abs(dist(x) - p) < 1e-12
+    inside = set(comp.states)
     oracle = stationary_oracle(
         comp.states,
-        {x: [t for t in ref.transitions(sys, x) if t[0] in comp.state_set] for x in comp.states},
+        {x: [t for t in ref.transitions(sys, x) if t[0] in inside] for x in comp.states},
     )
     assert max(abs(dist(x) - oracle[x]) for x in comp.states) < 1e-10
 
@@ -127,7 +128,7 @@ def test_stationary_distribution_absorbing_point_mass():
 
 
 def test_stationary_stoch_rvb_tail_accuracy():
-    sys = parse_network(crn.corpus.STOCH_RVB_ONLY)
+    sys = load("stoch_rvb_only")
     comp = communicating_class(sys, (0,), Box.cube(1, 30))
     dist = stationary_distribution(sys, comp, allow_truncated=True)
     ref = {}
@@ -143,7 +144,7 @@ def test_stationary_stoch_rvb_tail_accuracy():
 
 
 def test_stationary_scale_free():
-    text = crn.corpus.BIRTH_DEATH
+    text = CORPUS["birth_death"]
     sys = parse_network(text)
     doubled = crn.MassActionSystem(sys.network, tuple(2 * k for k in sys.kappa))
     comp = communicating_class(sys, (0,), Box.cube(1, 40))
@@ -168,7 +169,7 @@ def test_poisson_product_examples():
 
 
 def test_classify_birth_death_measure():
-    sys = parse_network(crn.corpus.BIRTH_DEATH)
+    sys = load("birth_death")
     comp = communicating_class(sys, (0,), Box.cube(1, 60))
     dist = stationary_distribution(sys, comp, allow_truncated=True)
     rep = classify_component_measure(sys, comp, dist)
@@ -178,7 +179,7 @@ def test_classify_birth_death_measure():
 
 
 def test_classify_square_poisson_product():
-    sys = parse_network(crn.corpus.SQUARE)
+    sys = load("square")
     comp = communicating_class(sys, (3, 0), Box.cube(2, 20))
     assert comp.closed and component_is_active(sys, comp)
     c = crn.solve_complex_balanced(sys)
@@ -217,7 +218,7 @@ def test_is_stationary_poisson_holds():
 
 
 def test_six_complex_component_slices():
-    sys = parse_network(crn.corpus.SIX_COMPLEX)
+    sys = load("six_complex")
     comp1 = communicating_class(sys, (0, 0, 1), Box((0, 0, 1), (30, 30, 1)))
     d1 = stationary_distribution(sys, comp1, allow_truncated=True)
     r1 = classify_component_measure(sys, comp1, d1)
@@ -232,7 +233,7 @@ def test_six_complex_component_slices():
 def test_classify_measure_default_domain_is_conservative():
     # with the spec-default all-faces margin, a slab domain leaves every
     # equation undetermined rather than guessing
-    sys = parse_network(crn.corpus.SIX_COMPLEX)
+    sys = load("six_complex")
     comp = communicating_class(sys, (0, 0, 1), Box((0, 0, 1), (10, 10, 1)))
     dist = stationary_distribution(sys, comp, allow_truncated=True)
     rep = classify_measure(sys, dist, comp.box)

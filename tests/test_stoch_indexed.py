@@ -21,7 +21,7 @@ from crn.kinetics import propensities
 from crn.stoch import _find, _Frame
 
 import reference_stoch as ref
-from helpers import outcome, relisted
+from helpers import load, outcome, relisted
 
 RTOL = 1e-13  # about 450 ulp
 
@@ -109,7 +109,7 @@ def _assert_matches_reference(sys, seed, box):
 
 @pytest.mark.parametrize("name", sorted(SEEDS))
 def test_indexed_layer_matches_reference_on_corpus(name):
-    sys = crn.corpus.load(name)
+    sys = load(name)
     n = sys.network.n
     for seed in SEEDS[name]:
         for box in (Box.cube(n, 4), Box.cube(n, 12), Box((-2,) * n, (6,) * n)):
@@ -123,7 +123,7 @@ def test_indexed_layer_matches_reference_on_corpus(name):
 )
 def test_indexed_layer_matches_reference_with_inexact_rates(name):
     # rate constants whose sums round, so any change of summation order shows
-    base = crn.corpus.load(name)
+    base = load(name)
     rng = np.random.default_rng(sorted(SEEDS).index(name))
     sys = crn.MassActionSystem(
         base.network, tuple(float(k) for k in np.exp(rng.uniform(-2.0, 2.0, base.network.r)))
@@ -138,7 +138,7 @@ def test_indexed_layer_matches_reference_with_inexact_rates(name):
 def test_indexed_layer_matches_reference_across_solver_crossover(upper):
     # 800 and 801 states, on either side of the size where an earlier
     # version switched from GTH to sparse LU
-    sys = crn.corpus.load("birth_death")
+    sys = load("birth_death")
     _assert_matches_reference(sys, (0,), Box.cube(1, upper))
 
 
@@ -147,7 +147,7 @@ def test_reachable_candidates_match_reference(name, monkeypatch):
     # with no class small enough to enumerate, every component is found
     # among the states reachable from its seed
     monkeypatch.setattr(stoch, "_LATTICE_CAP", 0)
-    sys = crn.corpus.load(name)
+    sys = load(name)
     n = sys.network.n
     for seed in SEEDS[name]:
         for box in (Box.cube(n, 12), Box((-2,) * n, (6,) * n)):
@@ -177,7 +177,7 @@ def test_small_component_of_an_open_class_in_a_large_box():
 def test_indexed_layer_matches_reference_on_unsorted_states(name, upper):
     # a component built by hand may list its states in any order; the
     # reference eliminates in that order, the library in lexicographic order
-    sys = crn.corpus.load(name)
+    sys = load(name)
     box = Box.cube(sys.network.n, upper)
     comp = stoch.communicating_class(sys, SEEDS[name][0], box)
     assert len(comp.states) > 1
@@ -204,7 +204,7 @@ def test_poisson_product_matches_reference_bit_for_bit():
     # repeats, or from a component's array it must equal the per-state loop
     rng = np.random.default_rng(0)
     for name in sorted(SEEDS):
-        sys = crn.corpus.load(name)
+        sys = load(name)
         n = sys.network.n
         for box in (Box.cube(n, 12), Box((-2,) * n, (6,) * n)):
             comp = stoch.communicating_class(sys, SEEDS[name][0], box)
@@ -242,7 +242,7 @@ def _scalar_propensity(sys, x):
 
 
 def test_batched_propensities_are_exact():
-    sys = crn.corpus.load("stoch_rvb_only")  # holds 4A: exceeds int64 at 10**5
+    sys = load("stoch_rvb_only")  # holds 4A: exceeds int64 at 10**5
     states = [(0,), (1,), (3,), (4,), (10**4,), (10**5,)]
     batch = propensities(sys, states)
     for x, row in zip(states, batch):
@@ -252,7 +252,7 @@ def test_batched_propensities_are_exact():
 
 
 def test_propensities_take_counts_beyond_int64():
-    sys = crn.corpus.load("stoch_rvb_only")
+    sys = load("stoch_rvb_only")
     states = [(2**63,), (3,), (2**64 + 5,)]
     batch = propensities(sys, states)
     for x, row in zip(states, batch):
@@ -261,14 +261,14 @@ def test_propensities_take_counts_beyond_int64():
 
 
 def test_batched_propensities_vanish_off_the_orthant():
-    sys = crn.corpus.load("six_complex")
+    sys = load("six_complex")
     states = [(-1, 0, 0), (0, -3, 2), (5, 5, -1), (-(10**6), 10**6, 10**6)]
     assert not propensities(sys, states).any()
     assert propensities(sys, np.zeros((0, 3), dtype=np.int64)).shape == (0, sys.network.r)
 
 
 def test_communicating_class_does_not_enumerate_the_box():
-    sys = crn.corpus.load("mono_triangle")
+    sys = load("mono_triangle")
     small = stoch.communicating_class(sys, (3, 0, 0), Box.cube(3, 20))
     large = stoch.communicating_class(sys, (3, 0, 0), Box.cube(3, 10**4))
     assert len(large.states) == 10 and large.closed
