@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from sys import float_info
 
 import numpy as np
 
@@ -411,7 +412,7 @@ class Measure:
 
     def __post_init__(self):
         for x, w in self.weights.items():
-            if not (w >= 0 and np.isfinite(w)):
+            if not 0 <= w <= float_info.max:  # nan, inf and ints past any float fail
                 raise ValueError(f"weight at {x} must be finite and nonnegative, got {w}")
         if self.normalized and abs(self.total() - 1.0) > 1e-12:
             raise ValueError(f"normalized measure sums to {self.total()}, not 1")

@@ -15,9 +15,10 @@ activity check, the stationary solve and the classification read those
 arrays; state tuples are built only for output.  The seed's component is the
 set of states it reaches intersected with the set that reaches it, each
 found by following one map per reaction vector with repeated squaring, in
-numpy alone.  Measure classification evaluates each equation of
-``detbal._balance_equations``, and the global-balance equation, as array
-operations over its sorted candidate states.
+numpy alone.  Measure classification sorts its candidate states once per
+call and tabulates, per offset that any equation reads, where each shifted
+candidate lies in the support and whether it is trusted; every equation of
+``detbal._balance_equations``, and global balance, reads rows of that table.
 
 Scalar balance equations for measures are compared with
 ``|lhs - rhs| <= tol * (flux_scale + |lhs| + |rhs|)`` where ``flux_scale`` is
@@ -167,11 +168,11 @@ class _Frame:
     """
 
     def __init__(self, lo, hi):
-        self.lo = np.asarray(lo, dtype=np.int64)
-        self.hi = np.asarray(hi, dtype=np.int64)
-        spans = [h - l + 1 for l, h in zip(self.lo.tolist(), self.hi.tolist())]
+        spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
         if max(spans, default=0) >= 2**63:
             raise ValueError("box has a side of 2**63 or more points")
+        self.lo = np.asarray(lo, dtype=np.int64)
+        self.hi = np.asarray(hi, dtype=np.int64)
         strides = []
         size = 1
         for span in reversed(spans):
@@ -685,9 +686,10 @@ def classify_measure(
     instances are counted and can only weaken a verdict to Undetermined,
     never flip it.
 
-    Each equation of ``detbal._balance_equations`` is evaluated as array
-    operations over its sorted candidate states, the states ``x`` for which
-    ``x + shift`` is in the support for some flux group; the witness of a
+    One table serves every equation of ``detbal._balance_equations`` and
+    global balance: the sorted states ``x`` with ``x + d`` in the support
+    for some offset ``d`` that any of them reads, and per offset the support
+    row of each ``x + d`` and whether it is trusted.  The witness of a
     failing condition is its first failing checked instance, equations in
     table order and states in sorted order.
     """
@@ -713,11 +715,6 @@ def _classify(sys, mu, domain, tol, truncation_faces, component) -> MeasureBalan
         else truncation_faces
     )
     margin = _margin(net)
-    trusted_lo = lower + [margin if (i, -1) in faces else 0 for i in range(net.n)]
-    trusted_hi = upper - [margin if (i, +1) in faces else 0 for i in range(net.n)]
-
-    def interior(x):
-        return ((x >= trusted_lo) & (x <= trusted_hi)).all(axis=1)
 
     # Weights and propensities of the support, with a zero row at index -1
     # standing for every state outside it.
@@ -731,14 +728,39 @@ def _classify(sys, mu, domain, tol, truncation_faces, component) -> MeasureBalan
     if np.any(rows < 0):
         rates[:-1][rows < 0] = propensities(sys, points[rows < 0])
     flux_scale = max(0.0, float(np.max(weight * rates.sum(axis=1))))
-    lo, hi = (points.min(axis=0), points.max(axis=0)) if len(points) else (lower, lower)
-    frame = _Frame(lo - margin, hi + margin)  # holds every candidate state
-    support_keys = frame.keys(points)
 
-    def at(x):
-        """Weight and rate row of each state in ``x``."""
-        i = _find(support_keys, frame.keys(x))
-        return weight[i], rates[i]
+    # Row j of ``shifts`` is an offset that an equation reads, 0 and -v_k first.
+    equations = _balance_equations(net)
+    vecs = net.reaction_vectors
+    read = [np.zeros_like(lower), *(-vecs)]
+    read += [d for *_, lhs, rhs in equations for d, _ in lhs + rhs]
+    row = {key: j for j, key in enumerate(dict.fromkeys(tuple(d.tolist()) for d in read))}
+    shifts = np.array(list(row), dtype=np.int64).reshape(len(row), net.n)
+    # The candidates ``x``, relative to the support's least corner ``lo``, are
+    # the support shifted back by every offset, sorted; row j of ``pos`` is the
+    # support row of each x + shifts[j] (-1 where absent), of ``inner`` whether
+    # it is trusted.  |d| is at most the margin, so the frame holds every x + d:
+    # no sum wraps, and clipping the trusted bounds to it changes no comparison.
+    lo, hi = (points.min(axis=0), points.max(axis=0)) if len(points) else (lower, lower)
+    lo, top = lo.tolist(), [h - l + 2 * margin for l, h in zip(lo.tolist(), hi.tolist())]
+    frame = _Frame([-2 * margin] * net.n, top)
+    trusted_lo = np.array([max(b - l + margin * ((i, -1) in faces), -2 * margin)
+                           for i, (b, l) in enumerate(zip(domain.lower, lo))])
+    trusted_hi = np.array([min(b - l - margin * ((i, +1) in faces), t)
+                           for i, (b, l, t) in enumerate(zip(domain.upper, lo, top))])
+    rel = points - np.array(lo, dtype=np.int64)
+    support_keys = frame.keys(rel)
+    shift_keys = shifts @ frame.strides
+    # not np.unique, whose hash table costs 1.5 MB of resident memory on first use
+    keys = np.sort(support_keys - shift_keys[:, None], axis=None, kind="stable")
+    keys = keys[np.diff(keys, prepend=keys[:1] - 1) != 0]
+    pos = np.full((len(shifts), len(keys)), -1, dtype=np.int64)
+    x = np.zeros((len(keys), net.n), dtype=np.int64)
+    for j, d in enumerate(shifts):
+        at = np.searchsorted(keys, support_keys - shift_keys[j])
+        pos[j, at] = np.arange(len(rel))
+        x[at] = rel - d
+    inner = np.array([((x >= trusted_lo - d) & (x <= trusted_hi - d)).all(axis=1) for d in shifts])
 
     def mismatch(lhs, rhs):
         """First instance whose scalar balance equation fails, or None."""
@@ -751,32 +773,29 @@ def _classify(sys, mu, domain, tol, truncation_faces, component) -> MeasureBalan
     tallies = {name: [0, 0, None] for name in ("rb", "cb", "rvb", "cyb", "stationary")}
 
     def run_instances(name, label, refs, evaluate):
-        """An instance at x references x shifted by each of ``refs``; the
-        candidates are the support shifted back by each."""
+        """An instance at x references x + d for each d in ``refs``; its
+        candidates are the x for which one of them is in the support."""
         tally = tallies[name]
-        x = np.concatenate([points - d for d in refs])
-        _, first = np.unique(frame.keys(x), return_index=True)
-        x = x[first]
-        trusted = np.ones(len(x), dtype=bool)
-        for d in refs:
-            trusted &= interior(x + d)
-        x = x[trusted]
-        tally[0] += len(x)
-        tally[1] += len(trusted) - len(x)
-        if tally[2] is None and len(x):
-            found = evaluate(x)
+        js = [row[tuple(d.tolist())] for d in refs]
+        candidate = (pos[js] >= 0).any(axis=0)
+        (checked,) = np.nonzero(candidate & inner[js].all(axis=0))
+        tally[0] += len(checked)
+        tally[1] += int(candidate.sum()) - len(checked)
+        if tally[2] is None and len(checked):
+            found = evaluate(checked)
             if found is not None:
                 i, lhs, rhs = found
-                tally[2] = Verdict.fail(tuple(x[i].tolist()), label, lhs, rhs)
+                state = tuple(v + l for v, l in zip(x[checked[i]].tolist(), lo))
+                tally[2] = Verdict.fail(state, label, lhs, rhs)
 
-    def flux(x, shift, reactions):
-        """mu(x + shift) times the total rate of ``reactions`` at x + shift."""
-        w, r = at(x + shift)
-        return w * _in_order_sum(r[:, k] for k in reactions)
+    def flux(at, shift, reactions):
+        """mu(x + shift) times the total rate of ``reactions`` there, at x[at]."""
+        i = pos[row[tuple(shift.tolist())], at]
+        return weight[i] * _in_order_sum(rates[i, k] for k in reactions)
 
-    def evaluate(x, condition, lhs, rhs):
-        fwd = [flux(x, *group) for group in lhs]
-        bwd = [flux(x, *group) for group in rhs]
+    def evaluate(at, condition, lhs, rhs):
+        fwd = [flux(at, *group) for group in lhs]
+        bwd = [flux(at, *group) for group in rhs]
         if condition != "cyb":
             return mismatch(_in_order_sum(fwd), _in_order_sum(bwd))
         # products are compared one instance at a time in log space
@@ -787,20 +806,19 @@ def _classify(sys, mu, domain, tol, truncation_faces, component) -> MeasureBalan
                 return (i, *bad)
         return None
 
-    for condition, label, lhs, rhs in _balance_equations(net):
-        refs = list({tuple(d): d for d, _ in lhs + rhs}.values())
-        run_instances(condition, label, refs, lambda x: evaluate(x, condition, lhs, rhs))
+    for condition, label, lhs, rhs in equations:
+        refs = [d for d, _ in lhs + rhs]
+        run_instances(condition, label, refs, lambda at: evaluate(at, condition, lhs, rhs))
 
     # stationarity: the single global-balance equation per state
-    vecs = net.reaction_vectors
-
-    def stationarity(x):
-        w, r = at(x)
+    def stationarity(at):
+        i = pos[0, at]
         return mismatch(
-            w * r.sum(axis=1), _in_order_sum(flux(x, -vecs[k], (k,)) for k in range(net.r))
+            weight[i] * rates[i].sum(axis=1),
+            _in_order_sum(flux(at, -vecs[k], (k,)) for k in range(net.r)),
         )
 
-    run_instances("stationary", "stationary", [0, *(-vecs)], stationarity)
+    run_instances("stationary", "stationary", [shifts[0], *(-vecs)], stationarity)
 
     # a condition fails at its witness, is undetermined when every instance
     # of it was skipped, and holds otherwise
