@@ -88,6 +88,14 @@ def _load_system(path: str) -> MassActionSystem:
         raise ParseError(str(exc)) from exc
 
 
+def _box_up_to(upper) -> Box:
+    """The box from 0 to ``upper``, refused when stoch._Frame could not hold
+    a side of it: [0, v] has v + 1 points."""
+    if max(upper, default=0) >= 2**63 - 1:
+        raise ParseError("box has a side of 2**63 or more points")
+    return Box((0,) * len(upper), tuple(upper))
+
+
 def _parse_box(text: str | None, n: int) -> Box | None:
     if text is None:
         return None
@@ -98,14 +106,10 @@ def _parse_box(text: str | None, n: int) -> Box | None:
         raise ParseError(f"malformed box {text!r}")
     if not all(-(2**63) <= v < 2**63 for v in values):
         raise ParseError(f"box bound outside the signed 64-bit range in {text!r}")
-    # [0, v] has v + 1 points; stoch._Frame holds no side of 2**63 or more
-    if max(values) >= 2**63 - 1:
-        raise ParseError("box has a side of 2**63 or more points")
-    if len(values) == 1:
-        return Box.cube(n, values[0])
-    if len(values) != n:
+    box = _box_up_to(values * n if len(values) == 1 else values)
+    if len(values) not in (1, n):
         raise ParseError(f"box needs 1 or {n} upper bounds, got {len(values)}")
-    return Box((0,) * n, tuple(values))
+    return box
 
 
 def _emit(payload, pretty: bool):
@@ -235,7 +239,7 @@ def cmd_simulate(args) -> int:
                 max(max(x[i] for x in support), x0[i]) + margin + 2
                 for i in range(sys_.network.n)
             )
-            box = Box((0,) * sys_.network.n, upper)
+            box = _box_up_to(upper)
             _check_init_inside(box, x0)
         comp = stoch.communicating_class(sys_, x0, box)
         dist = stoch.stationary_distribution(sys_, comp, allow_truncated=True)

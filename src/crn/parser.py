@@ -273,12 +273,13 @@ def parse_state(text: str, species: SpeciesTable, discrete: bool = False):
         if name in assigned:
             raise ParseError(f"species {name!r} assigned twice", 1, idx)
         assigned.add(name)
-        values[name] = float(match.group("value"))
+        value = match.group("value")
+        values[name] = int(value) if discrete and value.lstrip("+-").isdigit() else float(value)
     if discrete:
         counts = []
         for name in species.names:
             v = values[name]
-            if not np.isfinite(v) or v != int(v):
+            if isinstance(v, float) and not (np.isfinite(v) and v == int(v)):
                 raise NonIntegerCountError(f"count for {name} must be an integer, got {v}")
             counts.append(int(v))
         return tuple(counts)

@@ -8,12 +8,14 @@ of ``max complex inf-norm`` from every truncating face.  Equations touching
 the untrusted layer are counted in ``boundary_skipped`` and can never flip a
 verdict to Fails.
 
-A component is held as its index, built once by the component search: the
-states as a sorted integer array, the propensity of every reaction at every
-state, and the index of every reaction's target state among them.  The
-activity check, the stationary solve and the classification read those
-arrays; state tuples are built only for output.  The seed's component is the
-set of states it reaches intersected with the set that reaches it, each
+A component is held as its index: the states as a sorted integer array, the
+propensity of every reaction at every state, and the index of every
+reaction's target state among them.  The activity check, the stationary
+solve and the classification read those arrays; state tuples are built only
+for output.  The candidates are the lattice points of the seed's
+compatibility class in the box, or past ``_LATTICE_CAP``, the state budget
+of every build, in a box grown around the seed.  The seed's component is the
+set of candidates it reaches intersected with the set that reaches it, each
 found by following one map per reaction vector with repeated squaring, in
 numpy alone.  Measure classification sorts its candidate states once per
 call and tabulates, per offset that any equation reads, where each shifted
@@ -66,9 +68,10 @@ __all__ = [
     "component_is_active",
 ]
 
-# Compatibility classes are enumerated within the box when their pivot
-# ranges span at most this many lattice points; larger ones (open classes in
-# large boxes) are explored forward from the seed instead.
+# The state budget of every component build: a compatibility class is
+# enumerated within the box when its pivot ranges span at most this many
+# lattice points, and otherwise within a box grown around the seed, which is
+# refused once it needs more.
 _LATTICE_CAP = 2**20
 
 
@@ -262,54 +265,20 @@ def _class_lattice(net, seed: tuple[int, ...], box: Box) -> np.ndarray | None:
     return np.array(seed, dtype=np.int64) + offsets // scale
 
 
-def _shifted(states: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """N*r x n array of ``states[i] + vectors[k]``, state-major."""
-    shifted = states[:, None, :] + vectors[None, :, :]
-    return shifted.reshape(len(states) * len(vectors), states.shape[1])
-
-
-def _reachable(
-    sys: MassActionSystem, seed: tuple[int, ...], box: Box
-) -> tuple[np.ndarray, np.ndarray]:
-    """States reachable from ``seed`` without leaving ``box``, and their
-    propensities.
-
-    Walks the transition graph one level at a time, so it costs a numpy pass
-    per level; it stands in for the class lattice when that is too large.
-    """
-    vecs = sys.network.reaction_vectors
-    lower = np.array(box.lower, dtype=np.int64)
-    upper = np.array(box.upper, dtype=np.int64)
-    frame = _Frame(lower, upper)
-    frontier = np.array([seed], dtype=np.int64).reshape(1, len(seed))
-    seen = set(frame.keys(frontier).tolist())
-    found, rates = [frontier], []
-    while len(frontier):
-        rates.append(propensities(sys, frontier))
-        step = (frontier[:, None, :] + vecs[None, :, :])[rates[-1] > 0]
-        step = step[((step >= lower) & (step <= upper)).all(axis=1)]
-        keys, first = np.unique(frame.keys(step), return_index=True)
-        new = [i for i, key in zip(first.tolist(), keys.tolist()) if key not in seen]
-        seen.update(keys.tolist())
-        frontier = step[new]
-        found.append(frontier)
-    return np.concatenate(found), np.concatenate(rates)
-
-
 def _index(
-    sys: MassActionSystem, points: np.ndarray, rates: np.ndarray | None = None
+    sys: MassActionSystem, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``points`` (nonempty, in any order) sorted lexicographically, the
-    propensities at each (N x r; reordered from ``rates``, one row per given
-    point, when given), and the index among them of each reaction's target
-    (N x r, -1 where absent)."""
+    propensities at each (N x r), and the index among them of each
+    reaction's target (N x r, -1 where absent)."""
     frame = _Frame(points.min(axis=0), points.max(axis=0))
     keys = frame.keys(points)
     order = np.argsort(keys, kind="stable")
     points, keys = points[order], keys[order]
-    rates = propensities(sys, points) if rates is None else rates[order]
-    targets = _find(keys, frame.keys(_shifted(points, sys.network.reaction_vectors)))
-    return points, rates, targets.reshape(len(points), sys.network.r)
+    rates = propensities(sys, points)
+    targets = points[:, None, :] + sys.network.reaction_vectors  # state-major
+    targets = frame.keys(targets.reshape(len(points) * sys.network.r, points.shape[1]))
+    return points, rates, _find(keys, targets).reshape(len(points), sys.network.r)
 
 
 def _close(mask: np.ndarray, step: np.ndarray) -> bool:
@@ -345,6 +314,21 @@ def _closure(mask: np.ndarray, steps: list[np.ndarray]) -> np.ndarray:
     return mask
 
 
+def _reached(edges: np.ndarray, targets: np.ndarray, home: int) -> tuple[list, np.ndarray]:
+    """The moves of ``_seed_class``, as (column, live) pairs, and the mask of
+    the states that ``home`` reaches by them."""
+    moves: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+    for col, live in zip(targets.T, edges.T):
+        if live.any():
+            key = col.tobytes()
+            if key in moves:
+                live = live | moves[key][1]
+            moves[key] = (col, live)
+    ids = np.arange(len(targets))
+    forward = [np.where(live, col, ids) for col, live in moves.values()]
+    return list(moves.values()), _closure(ids == home, forward)
+
+
 def _seed_class(edges: np.ndarray, targets: np.ndarray, home: int) -> np.ndarray:
     """Mask of the strongly connected component of state ``home``, where
     state i moves to ``targets[i, k]`` by reaction k wherever ``edges[i, k]``.
@@ -360,35 +344,30 @@ def _seed_class(edges: np.ndarray, targets: np.ndarray, home: int) -> np.ndarray
     backward.  Reactions that share a vector share a column and share a
     map; columns with no move give none.
     """
-    moves: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-    for col, live in zip(targets.T, edges.T):
-        if live.any():
-            key = col.tobytes()
-            if key in moves:
-                live = live | moves[key][1]
-            moves[key] = (col, live)
+    moves, reached = _reached(edges, targets, home)
     ids = np.arange(len(targets))
-    start = np.zeros(len(targets), dtype=bool)
-    start[home] = True
-    reached = _closure(start.copy(), [np.where(live, col, ids) for col, live in moves.values()])
     back = []
-    for col, live in moves.values():
+    for col, live in moves:
         live = live & reached
         step = ids.copy()
         step[col[live]] = ids[live]
         back.append(step)
-    return _closure(start, back)
+    return _closure(ids == home, back)
 
 
 def communicating_class(sys: MassActionSystem, seed, box: Box) -> ComponentResult:
     """Strongly connected component of ``seed`` in the transition graph on the box.
 
     Candidates are the lattice points of the box in the seed's compatibility
-    class, or the states reachable from the seed when the class is too large
-    to enumerate; the component is the seed's strongly connected component of
-    the transition graph among them (``_seed_class``: the candidates the
-    seed reaches that also reach it), and the closure flags and exit faces
-    come from its out-edges.
+    class.  When there are more than ``_LATTICE_CAP``, they are those of a box
+    grown around the seed instead, as finite state projection grows its state
+    set (Munsky and Khammash 2006): each face starts one step from the seed
+    and doubles its distance, clipped to the box, while a live move out of
+    the states the seed reaches lands in the box beyond it.  A grown box
+    whose class holds more than ``_LATTICE_CAP`` points raises ``ValueError``.
+    The component is the seed's strongly connected component among the
+    candidates (``_seed_class``), and the closure flags and exit faces come
+    from its out-edges.
     """
     net = sys.network
     seed = discrete_state(seed, net.n)
@@ -397,12 +376,29 @@ def communicating_class(sys: MassActionSystem, seed, box: Box) -> ComponentResul
     if not box.contains(seed):
         raise ValueError(f"seed {seed} lies outside the box")
 
-    points, rates = _class_lattice(net, seed, box), None
-    if points is None:
-        points, rates = _reachable(sys, seed, box)
-    points, rates, targets = _index(sys, points, rates)
-    live = rates > 0
-    home = int(np.flatnonzero((points == seed).all(axis=1))[0])
+    points, grown = _class_lattice(net, seed, box), None
+    reach = [1] * 2 * net.n  # distances of the grown box's lower, then upper, faces from the seed
+    while True:
+        if points is None:
+            grown = Box(tuple(max(b, s - d) for b, s, d in zip(box.lower, seed, reach)),
+                        tuple(min(b, s + d) for b, s, d in zip(box.upper, seed, reach[net.n :])))
+            points = _class_lattice(net, seed, grown)
+            if points is None:
+                raise ValueError(f"the class search from {seed} exceeds {_LATTICE_CAP} states")
+        points, rates, targets = _index(sys, points)
+        live = rates > 0
+        home = int(np.flatnonzero((points == seed).all(axis=1))[0])
+        if grown is None:
+            break
+        # live moves out of the reached states that land in the box beyond the grown box
+        rows, ks = np.nonzero(live & _reached(live & (targets >= 0), targets, home)[1][:, None])
+        landing = points[rows] + net.reaction_vectors[ks]
+        landing = landing[((landing >= box.lower) & (landing <= box.upper)).all(axis=1)]
+        beyond = np.r_[(landing < grown.lower).any(axis=0), (landing > grown.upper).any(axis=0)]
+        if not beyond.any():
+            break
+        reach = [2 * d if b else d for d, b in zip(reach, beyond.tolist())]
+        points = None
     if live[home].any() and np.all(targets[home][live[home]] < 0):
         raise BoxTooSmallError(
             f"every transition out of the seed {seed} exits the box"
@@ -513,8 +509,6 @@ def stationary_distribution(
     size = len(points)
     if size == 0:
         raise EmptySupportError("component has no states")
-    if size == 1:
-        return Measure({tuple(points[0].tolist()): 1.0}, normalized=True)
 
     # Kept moves of the reflected chain between the states in lexicographic
     # order.  Reactions sharing a reaction vector share a target, and their
@@ -704,11 +698,12 @@ def _classify(sys, mu, domain, tol, truncation_faces, component) -> MeasureBalan
         raise ValueError("domain dimension does not match the species count")
     support = mu.support()
     points = np.array(support, dtype=np.int64).reshape(len(support), net.n)
-    lower = np.array(domain.lower, dtype=np.int64)
-    upper = np.array(domain.upper, dtype=np.int64)
-    outside = np.flatnonzero(~((points >= lower) & (points <= upper)).all(axis=1))
-    if len(outside):
-        raise ValueError(f"support state {support[outside[0]]} lies outside the domain")
+    # a box holds the support when it holds its least and greatest corners
+    lo, hi = (points.min(axis=0), points.max(axis=0)) if len(points) else ([0] * net.n,) * 2
+    lo, hi = list(map(int, lo)), list(map(int, hi))
+    if len(points) and not (domain.contains(lo) and domain.contains(hi)):
+        outside = next(x for x in support if not domain.contains(x))
+        raise ValueError(f"support state {outside} lies outside the domain")
     faces = (
         frozenset((i, s) for i in range(net.n) for s in (-1, +1))
         if truncation_faces is None
@@ -732,7 +727,7 @@ def _classify(sys, mu, domain, tol, truncation_faces, component) -> MeasureBalan
     # Row j of ``shifts`` is an offset that an equation reads, 0 and -v_k first.
     equations = _balance_equations(net)
     vecs = net.reaction_vectors
-    read = [np.zeros_like(lower), *(-vecs)]
+    read = [np.zeros(net.n, dtype=np.int64), *(-vecs)]
     read += [d for *_, lhs, rhs in equations for d, _ in lhs + rhs]
     row = {key: j for j, key in enumerate(dict.fromkeys(tuple(d.tolist()) for d in read))}
     shifts = np.array(list(row), dtype=np.int64).reshape(len(row), net.n)
@@ -741,8 +736,7 @@ def _classify(sys, mu, domain, tol, truncation_faces, component) -> MeasureBalan
     # support row of each x + shifts[j] (-1 where absent), of ``inner`` whether
     # it is trusted.  |d| is at most the margin, so the frame holds every x + d:
     # no sum wraps, and clipping the trusted bounds to it changes no comparison.
-    lo, hi = (points.min(axis=0), points.max(axis=0)) if len(points) else (lower, lower)
-    lo, top = lo.tolist(), [h - l + 2 * margin for l, h in zip(lo.tolist(), hi.tolist())]
+    top = [h - l + 2 * margin for l, h in zip(lo, hi)]
     frame = _Frame([-2 * margin] * net.n, top)
     trusted_lo = np.array([max(b - l + margin * ((i, -1) in faces), -2 * margin)
                            for i, (b, l) in enumerate(zip(domain.lower, lo))])

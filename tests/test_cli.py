@@ -215,7 +215,7 @@ def test_stationary_command_birth_death(capsys):
     assert rep["cyb"]["status"] == "holds"
 
 
-def _rows_evaluated(capsys, monkeypatch, argv):
+def _rows_evaluated(capsys, monkeypatch, argv, exit_code=0):
     """Rows of each propensity evaluation during one in-process call."""
     evaluated = []
     kernel = crn.kinetics.propensities
@@ -228,7 +228,7 @@ def _rows_evaluated(capsys, monkeypatch, argv):
     for module in (crn.kinetics, crn.stoch, crn.graph, crn.ssa):
         monkeypatch.setattr(module, "propensities", counted)
     code, _ = run_cli(capsys, argv[0], str(NETWORKS / "six_complex.crn"), *argv[1:])
-    assert code == 0
+    assert code == exit_code
     return evaluated
 
 
@@ -246,13 +246,43 @@ def test_each_component_is_evaluated_once(capsys, monkeypatch, argv, components)
     assert _rows_evaluated(capsys, monkeypatch, argv) == [169] * components
 
 
-@pytest.mark.parametrize("argv, components", SLICE_CALLS, ids=["stationary", "analyze"])
-def test_each_reached_state_is_evaluated_once(capsys, monkeypatch, argv, components):
-    # without the class lattice the candidates are reached from the seed one
-    # level at a time, and each is evaluated on the level where it joins
-    monkeypatch.setattr(crn.stoch, "_LATTICE_CAP", 0)
-    evaluated = _rows_evaluated(capsys, monkeypatch, argv)
-    assert sum(evaluated) == 169 * components and len(evaluated) > components
+@pytest.mark.parametrize("argv", [argv for argv, _ in SLICE_CALLS], ids=["stationary", "analyze"])
+def test_grown_box_is_evaluated_each_round_up_to_the_budget(capsys, monkeypatch, argv):
+    # with a budget of 168 states the slice's 169 candidates are not
+    # enumerated; the box grown around A=0,B=0 doubles its upper faces, each
+    # round indexed anew, until its 13 x 13 points pass the budget
+    monkeypatch.setattr(crn.stoch, "_LATTICE_CAP", 168)
+    assert _rows_evaluated(capsys, monkeypatch, argv, exit_code=2) == [4, 9, 25, 81]
+
+
+@pytest.mark.parametrize("argv", [
+    ["stationary", "--seed-state", "A=0", "--box", "2000000", "--allow-truncated"],
+    ["analyze", "--seed-state", "A=0", "--box", "9223372036854775806"],
+])
+def test_open_class_past_the_state_budget_is_an_input_error(capsys, argv):
+    # the chain from A=0 reaches every state of the box; the search stops
+    # once its grown box passes 2**20 states
+    command, *rest = argv
+    assert main([command, str(NETWORKS / "birth_death.crn"), *rest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: the class search from (0,) exceeds 1048576 states\n"
+
+
+def test_per_species_box(capsys):
+    argv = ["stationary", str(NETWORKS / "six_complex.crn"), "--seed-state", "A=0,B=0,C=2",
+            "--allow-truncated", "--box"]
+    code, out = run_cli(capsys, *argv, "5,6,2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["component"]["states"] == 42
+    assert [p["state"] for p in payload["distribution"]] == [
+        [a, b, 2] for a in range(6) for b in range(7)
+    ]
+    assert main([*argv, "5,6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: box needs 1 or 3 upper bounds, got 2\n"
 
 
 def test_stationary_memory_per_state_is_bounded(capsys):
@@ -416,6 +446,32 @@ def test_compare_rejects_a_given_box_before_the_path_runs(capsys, monkeypatch, b
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("count", ["9007199254740993", "9223372036854775000"])
+def test_simulate_reads_large_counts_exactly(capsys, count):
+    # the path ends before its first jump; the counts past 2**53 are not rounded
+    code, out = run_cli(
+        capsys, "simulate", str(NETWORKS / "birth_death.crn"), "--init", f"A={count}",
+        "--t-end", "1e-70", "--seed", "0",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["init"] == [int(count)]
+    assert payload["occupancy"] == [{"p": 1, "state": [int(count)]}]
+
+
+def test_compare_refuses_a_default_box_side_of_2_pow_63_points(capsys):
+    # the default box reaches the margin and two more past the path, here
+    # past 2**63 - 1
+    code = main([
+        "simulate", str(NETWORKS / "birth_death.crn"), "--init", "A=9223372036854775806",
+        "--t-end", "1e-70", "--seed", "0", "--compare",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: box has a side of 2**63 or more points\n"
 
 
 def test_box_without_compare_is_ignored(capsys):

@@ -104,6 +104,20 @@ def test_parse_state():
         parse_state("A=1,A=2", species)
 
 
+def test_parse_state_reads_integer_counts_exactly():
+    # an integer literal is read as an int, past 2**53 too; other integral
+    # texts still go through float
+    species = crn.SpeciesTable(("A", "B"))
+    for count in (2**53 + 1, 9223372036854775000, 2**63 - 1, 10**30, -(2**63) - 7):
+        assert parse_state(f"A={count}", species, discrete=True) == (count, 0)
+    assert parse_state("A=+9007199254740993", species, discrete=True) == (2**53 + 1, 0)
+    assert parse_state("A=2.0,B=1e3", species, discrete=True) == (2, 1000)
+    assert parse_state("A=9007199254740993", species).tolist() == [2.0**53, 0.0]
+    for text, got in (("A=1.5", "1.5"), ("A=1e400", "inf"), ("B=-1e400", "-inf")):
+        with pytest.raises(NonIntegerCountError, match=f"must be an integer, got {got}$"):
+            parse_state(text, species, discrete=True)
+
+
 def test_format_simple():
     assert format_network(parse_network("A -> B : 2")) == "A -> B : 2"
     assert format_network(parse_network("")) == ""

@@ -21,7 +21,7 @@ from crn.kinetics import propensities
 from crn.stoch import _find, _Frame
 
 import reference_stoch as ref
-from helpers import load, outcome, relisted
+from helpers import load, outcome, random_irreversible_system, relisted
 
 RTOL = 1e-13  # about 450 ulp
 
@@ -142,16 +142,68 @@ def test_indexed_layer_matches_reference_across_solver_crossover(upper):
     _assert_matches_reference(sys, (0,), Box.cube(1, upper))
 
 
+def _whole_box_refused(monkeypatch, boxes):
+    """Make the class lattice of each box in ``boxes`` count as too large, so
+    that a search in one of them grows a box around its seed.  Grown boxes
+    are new objects, so one that reaches every face is still enumerated."""
+    lattice = stoch._class_lattice
+    monkeypatch.setattr(stoch, "_class_lattice", lambda net, seed, box: (
+        None if any(box is b for b in boxes) else lattice(net, seed, box)
+    ))
+
+
 @pytest.mark.parametrize("name", sorted(SEEDS))
-def test_reachable_candidates_match_reference(name, monkeypatch):
-    # with no class small enough to enumerate, every component is found
-    # among the states reachable from its seed
-    monkeypatch.setattr(stoch, "_LATTICE_CAP", 0)
+def test_grown_box_matches_reference(name, monkeypatch):
+    # every component is found among the class's lattice points in a box
+    # grown around its seed, never in the whole box
     sys = load(name)
     n = sys.network.n
+    boxes = [Box.cube(n, 12), Box((-2,) * n, (6,) * n)]
+    _whole_box_refused(monkeypatch, boxes)
     for seed in SEEDS[name]:
-        for box in (Box.cube(n, 12), Box((-2,) * n, (6,) * n)):
+        for box in boxes:
             _assert_matches_reference(sys, seed, box)
+
+
+def test_grown_box_matches_reference_on_random_networks(monkeypatch):
+    # with a budget of 40 states, every box of 13**n points is grown; each
+    # search finds the reference's component or stops at the budget
+    monkeypatch.setattr(stoch, "_LATTICE_CAP", 40)
+    rng = np.random.default_rng(123)
+    found = 0
+    for _ in range(300):
+        sys = random_irreversible_system(rng)
+        n = sys.network.n
+        seed = tuple(int(v) for v in rng.integers(0, 4, n))
+        box = Box.cube(n, 12)
+        try:
+            comp, err = outcome(stoch.communicating_class, sys, seed, box)
+        except ValueError as exc:
+            assert str(exc) == f"the class search from {seed} exceeds 40 states"
+            continue
+        assert (comp, err) == outcome(ref.communicating_class, sys, seed, box)
+        found += 1
+    assert found >= 200
+
+
+def test_grown_box_stops_at_the_state_budget(monkeypatch):
+    # an open chain reaches every state of the box: the grown box doubles
+    # until its class passes the budget, each round enumerated anew
+    monkeypatch.setattr(stoch, "_LATTICE_CAP", 100)
+    sys = load("birth_death")
+    grown = []
+    lattice = stoch._class_lattice
+    monkeypatch.setattr(stoch, "_class_lattice", lambda net, seed, box: (
+        grown.append((box.lower, box.upper)) or lattice(net, seed, box)
+    ))
+    with pytest.raises(ValueError, match=r"^the class search from \(3,\) exceeds 100 states$"):
+        stoch.communicating_class(sys, (3,), Box.cube(1, 10**4))
+    assert grown == [((0,), (10**4,)), ((2,), (4,)), ((1,), (5,)), ((0,), (7,)), ((0,), (11,)),
+                     ((0,), (19,)), ((0,), (35,)), ((0,), (67,)), ((0,), (131,))]
+    # in an open class of the same box, a closed component stops the growth
+    sys = parse_network("2A -> 3A : 1\nB <-> C : 1, 2")
+    comp = stoch.communicating_class(sys, (1, 3, 0), Box.cube(3, 10**4))
+    assert comp.closed and comp.states == ((1, 0, 3), (1, 1, 2), (1, 2, 1), (1, 3, 0))
 
 
 def test_small_component_of_an_open_class_in_a_large_box():
@@ -294,3 +346,18 @@ def test_frame_keys_fall_back_to_exact_integers():
 def test_frame_refuses_a_side_of_2_pow_63_points(lo, hi):
     with pytest.raises(ValueError, match=r"a side of 2\*\*63 or more points"):
         _Frame(lo, hi)
+
+
+def test_closed_component_at_the_top_of_int64_is_classified():
+    # the padded domain of this closed component reaches past 2**63 - 1
+    top = 2**63 - 1
+    sys = parse_network("A + B <-> C : 1, 1")
+    comp = stoch.communicating_class(sys, (top - 1, 1, 0), Box((top - 3, 0, 0), (top, 1, 1)))
+    assert comp.closed and comp.states == ((top - 2, 0, 1), (top - 1, 1, 0))
+    dist = stoch.stationary_distribution(sys, comp)
+    domain, faces = stoch.classification_domain(sys, comp)
+    assert domain.upper[0] > top
+    report = stoch.classify_component_measure(sys, comp, dist)
+    assert report == ref.classify_measure(sys, dist, domain, truncation_faces=faces)
+    assert report.boundary_skipped == 0
+    assert all(getattr(report, name).holds for name in ("rb", "cb", "rvb", "cyb", "stationary"))
