@@ -12,9 +12,13 @@ A state is classified against four balance conditions:
 Each condition is a family of flux equations, listed once in
 ``_balance_equations``: ``classify_state`` evaluates them with the rates at
 ``c``, and ``crn.stoch.classify_measure`` with a measure's weighted
-propensities at every state.  Each scalar equation passes iff
-``|lhs - rhs| <= tol * (1 + |lhs| + |rhs|)``; cycle products are compared in
-log space with zero factors short-circuited exactly.
+propensities at every state.  Each scalar equation passes iff ``_close``
+holds, ``|lhs - rhs| <= tol * (scale + |lhs| + |rhs|)`` with scale 1 here;
+cycle products are compared in log space by the same rule on the log-sums,
+with zero factors short-circuited exactly.  A state at which some rate is
+not finite raises ``NonFiniteStateError`` instead of getting a verdict, in
+``classify_state``, ``is_equilibrium`` and the solvers that check their
+answer with ``classify_state``.
 """
 
 from __future__ import annotations
@@ -58,8 +62,10 @@ __all__ = [
 ]
 
 
-def _close(lhs: float, rhs: float, tol: float) -> bool:
-    return abs(lhs - rhs) <= tol * (1.0 + abs(lhs) + abs(rhs))
+def _close(lhs, rhs, tol: float, scale: float = 1.0):
+    """The one comparison rule of a balance equation: whether
+    ``|lhs - rhs| <= tol * (scale + |lhs| + |rhs|)``, on floats or arrays."""
+    return abs(lhs - rhs) <= tol * (scale + abs(lhs) + abs(rhs))
 
 
 def _canonical_xi(vec) -> tuple[tuple[int, ...], int]:
@@ -112,6 +118,15 @@ def drift(sys: MassActionSystem, c) -> np.ndarray:
     return sys.network.reaction_vectors.T.astype(float) @ rates
 
 
+def _finite_rates(sys: MassActionSystem, c) -> np.ndarray:
+    """The rates at ``c``; raises ``NonFiniteStateError`` if one overflows,
+    since no balance or equilibrium verdict can be read from it."""
+    rates = det_rates(sys, c)
+    if not np.isfinite(rates).all():
+        raise NonFiniteStateError(f"a reaction rate at state {c.tolist()} is not finite")
+    return rates
+
+
 def _equilibrium(net, c, rates, tol: float) -> tuple[Verdict, float]:
     """Equilibrium verdict and drift sup-norm at ``c`` from its rates."""
     norm = float(np.max(np.abs(net.reaction_vectors.T.astype(float) @ rates))) if net.r else 0.0
@@ -124,7 +139,7 @@ def _equilibrium(net, c, rates, tol: float) -> tuple[Verdict, float]:
 def is_equilibrium(sys: MassActionSystem, c, tol: float = 1e-9) -> Verdict:
     """Holds iff the drift is zero up to ``tol * (1 + max rate)``."""
     c = det_state(c, sys.network.n)
-    return _equilibrium(sys.network, c, det_rates(sys, c), tol)[0]
+    return _equilibrium(sys.network, c, _finite_rates(sys, c), tol)[0]
 
 
 def _log_product_mismatch(fwd, bwd, tol, factor_scale):
@@ -152,7 +167,7 @@ def _log_product_mismatch(fwd, bwd, tol, factor_scale):
     top = max((v for v in (lf, lb) if v is not None), default=None)
     if top is None or top <= floor:
         return None
-    if lf is not None and lb is not None and abs(lf - lb) <= tol * (1.0 + abs(lf) + abs(lb)):
+    if lf is not None and lb is not None and _close(lf, lb, tol):
         return None
     return as_float(lf), as_float(lb)
 
@@ -222,7 +237,7 @@ def classify_state(sys: MassActionSystem, c, tol: float = 1e-9) -> StateBalanceR
     """
     net = sys.network
     c = det_state(c, net.n)
-    rates = det_rates(sys, c)
+    rates = _finite_rates(sys, c)
     flux = rates.tolist()
     state = tuple(float(v) for v in c)
     verdicts = dict.fromkeys(("rb", "cb", "rvb", "cyb"), Verdict.ok())
@@ -383,10 +398,16 @@ def solve_rvb(sys: MassActionSystem, starts: int = 32) -> list[np.ndarray]:
     start, takes one least-squares step per start and tries all backtracking
     lengths of every start at once.  Each start takes the first length that
     improves, so the result equals that of running the starts one after the
-    other, bit for bit.  Raises ``ValueError`` for negative ``starts``.
+    other, bit for bit.  Raises ``ValueError`` for negative ``starts`` and for
+    more than 2**16 of them.
     """
     if starts < 0:
         raise ValueError(f"rvb starts must be nonnegative, got {starts}")
+    # Each round holds 20 backtracking trial points per live start, so memory
+    # grows with ``starts``: 10**15 starts ask for petabytes.  The bound lies
+    # far above any count that still finds more roots.
+    if starts > 2**16:
+        raise ValueError(f"rvb starts must be at most 2**16 = 65536, got {starts}")
     net = sys.network
     classes = reaction_vector_classes(net)
     if net.n == 0 or not classes:

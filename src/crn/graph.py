@@ -21,7 +21,6 @@ from .model import (
     ReactionNetwork,
     SpeciesTable,
     build_network,
-    empty_network,
     stoichiometric_basis,
 )
 
@@ -172,23 +171,12 @@ def active_subnetwork(sys: MassActionSystem, states) -> ReactionNetwork:
     det = [det_rates(sys, c) for c in states if not isinstance(c, tuple)]
     rates = np.vstack([propensities(sys, counts), *det])
     active = np.flatnonzero((rates > 0).any(axis=0)).tolist()
-    if not active:
-        return empty_network()
-    used_complexes = sorted(
-        {net.reactions[k].source for k in active} | {net.reactions[k].target for k in active}
+    reactions = [net.reactions[k] for k in active]
+    ends = [net.complexes[i] for rxn in reactions for i in (rxn.source, rxn.target)]
+    used = [j for j in range(net.n) if any(cx.coeffs[j] for cx in ends)]
+    # reaction k of the subnetwork is the pair of complexes 2k -> 2k + 1
+    return build_network(
+        SpeciesTable(tuple(net.species.names[j] for j in used)),
+        [Complex(tuple(cx.coeffs[j] for j in used)) for cx in ends],
+        [Reaction(2 * k, 2 * k + 1) for k in range(len(reactions))],
     )
-    used_species = [
-        j for j in range(net.n)
-        if any(net.complexes[i].coeffs[j] != 0 for i in used_complexes)
-    ]
-    table = SpeciesTable(tuple(net.species.names[j] for j in used_species))
-    new_complexes = [
-        Complex(tuple(net.complexes[i].coeffs[j] for j in used_species))
-        for i in used_complexes
-    ]
-    pos = {old: new for new, old in enumerate(used_complexes)}
-    new_reactions = [
-        Reaction(pos[net.reactions[k].source], pos[net.reactions[k].target])
-        for k in active
-    ]
-    return build_network(table, new_complexes, new_reactions)

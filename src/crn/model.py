@@ -236,12 +236,10 @@ def empty_network() -> ReactionNetwork:
 
 def reaction_vector(net: ReactionNetwork, rxn: Reaction) -> np.ndarray:
     """Target coefficients minus source coefficients, as an integer vector."""
-    if net.edge_index.get((rxn.source, rxn.target)) is None:
+    k = net.edge_index.get((rxn.source, rxn.target))
+    if k is None:
         raise UnknownReactionError(f"{rxn} is not a reaction of the network")
-    return (
-        np.asarray(net.complexes[rxn.target].coeffs, dtype=np.int64)
-        - np.asarray(net.complexes[rxn.source].coeffs, dtype=np.int64)
-    )
+    return net.reaction_vectors[k].copy()
 
 
 # ---------------------------------------------------------------------------

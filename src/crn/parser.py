@@ -44,7 +44,6 @@ from .model import (
     Reaction,
     SpeciesTable,
     build_network,
-    empty_network,
 )
 
 __all__ = ["parse_network", "parse_state", "format_network"]
@@ -103,12 +102,7 @@ class _LineParser:
         self.pos += 1
         return tok
 
-    def error(self, message: str, tok: _Token | None = None):
-        if tok is None:
-            tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1]
-            raise ParseError(message, self.lineno, last.column + len(last.text))
+    def error(self, message: str, tok: _Token):
         raise ParseError(message, self.lineno, tok.column)
 
     def parse_side(self) -> dict[str, int]:
@@ -200,52 +194,34 @@ def parse_network(text: str) -> MassActionSystem:
         if arrow == "ARROW2":
             directed.append((rhs, lhs, rates[1], lineno))
 
-    if not directed:
-        return MassActionSystem(empty_network(), ())
-
     names = sorted({name for lhs, rhs, _, _ in directed for name in (*lhs, *rhs)})
-    species = SpeciesTable(tuple(names))
-    pos = {name: i for i, name in enumerate(names)}
 
-    def to_vector(coeffs: dict[str, int]) -> tuple[int, ...]:
-        vec = [0] * len(names)
-        for name, coeff in coeffs.items():
-            vec[pos[name]] = coeff
-        return tuple(vec)
+    def vector(coeffs: dict[str, int]) -> tuple[int, ...]:
+        return tuple(coeffs.get(name, 0) for name in names)
 
-    complexes: list[Complex] = []
-    complex_index: dict[tuple[int, ...], int] = {}
-
-    def intern(coeffs: dict[str, int]) -> int:
-        vec = to_vector(coeffs)
-        if vec not in complex_index:
-            complex_index[vec] = len(complexes)
-            complexes.append(Complex(vec))
-        return complex_index[vec]
-
-    reactions: list[Reaction] = []
-    kappa_in_input_order: list[float] = []
-    seen: dict[tuple[int, int], int] = {}
+    # (source, target) coefficient vectors -> (line, rate), in input order
+    given: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, float]] = {}
     for lhs, rhs, rate, lineno in directed:
-        src, tgt = intern(lhs), intern(rhs)
-        if src == tgt:
+        pair = (vector(lhs), vector(rhs))
+        if pair[0] == pair[1]:
             raise SelfLoopError(f"line {lineno}: a reaction may not map a complex to itself")
-        if (src, tgt) in seen:
+        if pair in given:
             raise DuplicateReactionError(
-                f"line {lineno}: reaction already given on line {seen[(src, tgt)]}"
+                f"line {lineno}: reaction already given on line {given[pair][0]}"
             )
-        seen[(src, tgt)] = lineno
-        reactions.append(Reaction(src, tgt))
-        kappa_in_input_order.append(rate)
+        given[pair] = (lineno, rate)
 
-    network = build_network(species, complexes, reactions)
-    # build_network reorders complexes and reactions; realign the constants.
-    canon_index = {cx: i for i, cx in enumerate(network.complexes)}
-    kappa_map = {}
-    for rxn, rate in zip(reactions, kappa_in_input_order):
-        key = Reaction(canon_index[complexes[rxn.source]], canon_index[complexes[rxn.target]])
-        kappa_map[key] = rate
-    return MassActionSystem.from_map(network, kappa_map)
+    # reaction k of the input is the pair of complexes 2k -> 2k + 1
+    network = build_network(
+        SpeciesTable(tuple(names)),
+        [Complex(vec) for pair in given for vec in pair],
+        [Reaction(2 * k, 2 * k + 1) for k in range(len(given))],
+    )
+    index = {cx.coeffs: i for i, cx in enumerate(network.complexes)}
+    kappa = [0.0] * network.r
+    for (src, tgt), (_, rate) in given.items():
+        kappa[network.edge_index[index[src], index[tgt]]] = rate
+    return MassActionSystem(network, tuple(kappa))
 
 
 _STATE_ITEM_RE = re.compile(
@@ -299,32 +275,16 @@ def format_network(sys: MassActionSystem) -> str:
     lower canonical complex index) and lines are sorted by (source, target).
     """
     net = sys.network
-    if net.is_empty:
-        return ""
-    lines: list[tuple[tuple[int, int], str]] = []
-    done: set[tuple[int, int]] = set()
+    lines = []
     for k, rxn in enumerate(net.reactions):
-        key = (rxn.source, rxn.target)
-        if key in done:
-            continue
-        src_text = net.complexes[rxn.source].format(net.species)
-        tgt_text = net.complexes[rxn.target].format(net.species)
-        reverse = net.edge_index.get((rxn.target, rxn.source))
-        if reverse is not None:
-            lo, hi = sorted(key)
-            if (lo, hi) in done:
-                continue
-            done.add((lo, hi))
-            done.add((hi, lo))
-            fwd = sys.kappa[net.edge_index[(lo, hi)]]
-            bwd = sys.kappa[net.edge_index[(hi, lo)]]
-            lo_text = net.complexes[lo].format(net.species)
-            hi_text = net.complexes[hi].format(net.species)
-            lines.append(
-                ((lo, hi), f"{lo_text} <-> {hi_text} : {_format_rate(fwd)}, {_format_rate(bwd)}")
-            )
+        back = net.edge_index.get((rxn.target, rxn.source))
+        if back is not None and rxn.source > rxn.target:
+            continue  # written with its forward half
+        src = net.complexes[rxn.source].format(net.species)
+        tgt = net.complexes[rxn.target].format(net.species)
+        rate = _format_rate(sys.kappa[k])
+        if back is None:
+            lines.append(f"{src} -> {tgt} : {rate}")
         else:
-            done.add(key)
-            lines.append((key, f"{src_text} -> {tgt_text} : {_format_rate(sys.kappa[k])}"))
-    lines.sort()
-    return "\n".join(text for _, text in lines)
+            lines.append(f"{src} <-> {tgt} : {rate}, {_format_rate(sys.kappa[back])}")
+    return "\n".join(lines)

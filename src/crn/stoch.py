@@ -22,11 +22,12 @@ call and tabulates, per offset that any equation reads, where each shifted
 candidate lies in the support and whether it is trusted; every equation of
 ``detbal._balance_equations``, and global balance, reads rows of that table.
 
-Scalar balance equations for measures are compared with
-``|lhs - rhs| <= tol * (flux_scale + |lhs| + |rhs|)`` where ``flux_scale`` is
-the largest weighted exit flux of the measure; this keeps verdicts invariant
-under rescaling of either the measure or the rate constants.  Cycle products
-are compared in log space with exact zero handling.
+Scalar balance equations for measures are compared by ``detbal._close``
+with scale ``flux_scale``, ``|lhs - rhs| <= tol * (flux_scale + |lhs| +
+|rhs|)``, where ``flux_scale`` is the largest weighted exit flux of the
+measure; this keeps verdicts invariant under rescaling of either the measure
+or the rate constants.  Cycle products are compared in log space with exact
+zero handling.
 """
 
 from __future__ import annotations
@@ -44,7 +45,12 @@ from .errors import (
     NotClosedError,
     SolveFailureError,
 )
-from .detbal import _balance_equations, _log_product_mismatch, reaction_vector_classes
+from .detbal import (
+    _balance_equations,
+    _close as _balanced,
+    _log_product_mismatch,
+    reaction_vector_classes,
+)
 from .kinetics import propensities
 from .model import (
     MassActionSystem,
@@ -759,8 +765,7 @@ def _classify(sys, mu, domain, tol, truncation_faces, component) -> MeasureBalan
     def mismatch(lhs, rhs):
         """First instance whose scalar balance equation fails, or None."""
         lhs, rhs = np.broadcast_arrays(lhs, rhs)
-        close = np.abs(lhs - rhs) <= tol * (flux_scale + np.abs(lhs) + np.abs(rhs))
-        bad = np.flatnonzero(~close)
+        bad = np.flatnonzero(~_balanced(lhs, rhs, tol, flux_scale))
         return None if not len(bad) else (bad[0], lhs[bad[0]], rhs[bad[0]])
 
     # [checked, skipped, witness] per condition

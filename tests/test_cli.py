@@ -627,6 +627,36 @@ def test_rvb_starts_must_be_nonnegative(capsys):
     assert '"rvb_states":[]' in out
 
 
+@pytest.mark.parametrize("starts", ["65537", "1000000000000000"])
+def test_rvb_starts_past_2_pow_16_is_an_input_error(capsys, starts):
+    t0 = time.perf_counter()
+    code = main(["analyze", str(NETWORKS / "birth_death.crn"), "--rvb-starts", starts])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: rvb starts must be at most 2**16 = 65536, got {starts}\n"
+
+
+def test_classify_state_at_an_overflowing_rate_is_a_numerical_failure(capsys):
+    # the suite turns warnings into errors, so numpy's invalid-value warning
+    # from an inf - inf drift would fail this call
+    path = str(NETWORKS / "birth_death.crn")
+    assert main(["classify-state", path, "--state", "A=1e200"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "NonFiniteStateError: a reaction rate at state [1e+200] is not finite\n"
+
+
+def test_cycle_with_a_missing_reverse_reads_not_cycle_balanced(tmp_path, capsys):
+    path = tmp_path / "one_way_triangle.crn"
+    path.write_text("A -> B : 1\nB -> C : 1\nC -> A : 2\n")
+    for file, cyb in ((str(path), False), (str(NETWORKS / "mono_triangle.crn"), True)):
+        code, out = run_cli(capsys, "analyze", file)
+        assert code == 0
+        assert json.loads(out)["det"]["cyb_system"] is cyb
+
+
 def test_module_entry_point():
     src = str(pathlib.Path(crn.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -7,10 +7,10 @@ each of the corpus networks, plus two ``analyze`` runs whose implication map
 reads violated (exit 4); then, per corpus network, one seeded ``simulate
 --compare`` path (1 to 844 jumps) and one truncated ``stationary
 --compare-poisson`` solve in the box of side 8, and one plain ``simulate``
-on a transient start; last, per corpus network, the ``analyze`` case again
-with one and with 64 rvb Newton starts.  A changed byte of any output fails
-its case.  After a deliberate output change, re-record the file and say so
-in CHANGES.md:
+on a transient start; then, per corpus network, the ``analyze`` case again
+with one and with 64 rvb Newton starts; last, ``parse`` of each corpus
+network.  A changed byte of any output fails its case.  After a deliberate
+output change, re-record the file and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_cli_goldens.py
 """
@@ -92,6 +92,7 @@ def cases() -> list[list[str]]:
     out.append(TRANSIENT)
     for name in sorted(CORPUS):
         out += [[*_analyze(name), "--rvb-starts", starts] for starts in RVB_STARTS]
+    out += [["parse", f"demos/networks/{name}.crn"] for name in sorted(CORPUS)]
     return out
 
 

@@ -116,6 +116,18 @@ def test_system_cycle_balanced():
     assert system_cycle_balanced(parse_network(TRIANGLE))
     assert not system_cycle_balanced(parse_network(SQUARE))
     assert system_cycle_balanced(parse_network(THREE_ROOTS))
+    # a cycle edge without its reverse: no product of constants can match
+    assert not system_cycle_balanced(parse_network("A -> B : 1\nB -> C : 1\nC -> A : 2"))
+    assert not system_cycle_balanced(parse_network("A <-> B : 1, 1\nB -> C : 1\nC <-> A : 1, 1"))
+
+
+@pytest.mark.parametrize("check", [classify_state, is_equilibrium])
+def test_overflowing_rate_is_not_a_verdict(check):
+    # kappa * A**3 overflows; the drift would read nan and rvb inf = inf fails
+    sys = load("birth_death")
+    with pytest.raises(NonFiniteStateError, match=r"not finite"):
+        check(sys, [1e200])
+    assert check(sys, [1e100]) is not None  # 1e300: large, still finite
 
 
 def test_solve_reaction_balanced_intro():
@@ -197,6 +209,13 @@ def test_solve_rvb_refuses_negative_starts():
         with pytest.raises(ValueError, match="rvb starts must be nonnegative"):
             solve_rvb(sys, starts)
     assert solve_rvb(sys, 0) == []
+
+
+def test_solve_rvb_refuses_more_than_2_pow_16_starts():
+    sys = parse_network(THREE_ROOTS)
+    for starts in (2**16 + 1, 10**15):
+        with pytest.raises(ValueError, match=f"at most 2\\*\\*16 = 65536, got {starts}$"):
+            solve_rvb(sys, starts)
 
 
 def test_stoch_rvb_polynomials_have_no_common_root():

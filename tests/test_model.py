@@ -128,6 +128,16 @@ def test_reaction_vectors():
         reaction_vector(net, Reaction(iAB, iA))
 
 
+def test_reaction_vector_is_a_copy():
+    net = intro_network()
+    table = net.reaction_vectors.copy()
+    for k, rxn in enumerate(net.reactions):
+        vec = reaction_vector(net, rxn)
+        assert vec.dtype == np.int64 and vec.tolist() == table[k].tolist()
+        vec[:] = 99
+    assert np.array_equal(net.reaction_vectors, table)
+
+
 def test_reaction_vector_one_species_growth():
     net = build_network(
         SpeciesTable(("A",)),

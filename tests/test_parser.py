@@ -74,6 +74,58 @@ def test_parse_errors():
     assert err.value.line == 1 and err.value.column >= 1
 
 
+# Every error the reader raises: text, exception type, message, and the
+# (line, column) of a ParseError (the network errors name their line in the
+# message and carry no span).
+PARSE_ERRORS = [
+    ("A -> B : x", ParseError, "expected a rate constant", (1, 10)),
+    ("A -> B 1", ParseError, "expected ':' before the rate constants", (1, 8)),
+    ("A -> B : 1 2", ParseError, "unexpected trailing input", (1, 12)),
+    ("A -> B : 1,", ParseError, "unexpected end of line", (1, 12)),
+    ("A ->", ParseError, "unexpected end of line", (1, 5)),
+    ("A B -> C : 1", ParseError, "expected '->' or '<->'", (1, 3)),
+    ("0 0 -> A : 1", ParseError, "expected '->' or '<->'", (1, 3)),
+    ("A -> B : 1\n\nC -> $ : 1", ParseError, "unexpected character '$'", (3, 6)),
+    ("1.5A -> B : 1", ParseError, "stoichiometric coefficients must be integers", (1, 1)),
+    ("2 -> B : 1", ParseError, "expected a species name after the coefficient", (1, 3)),
+    ("A + 0 -> B : 1", ParseError, "expected a species name after the coefficient", (1, 7)),
+    ("+ -> B : 1", ParseError, "expected a species term", (1, 1)),
+    ("A -> : 1", ParseError, "expected a species term", (1, 6)),
+    ("A -> B : 1, 2", RateArityError, "-> takes exactly 1 rate constant(s), got 2", (1, 3)),
+    ("A <-> B : 1", RateArityError, "<-> takes exactly 2 rate constant(s), got 1", (1, 3)),
+    ("A -> B : 0", NonpositiveRateError, "rate constant must be positive, got 0", (1, 10)),
+    ("A -> B : 1e-400", NonpositiveRateError, "rate constant must be positive, got 1e-400",
+     (1, 10)),
+    ("0A -> B : 1", ZeroCoefficientError, "explicit zero coefficient on A", (1, 1)),
+    # a malformed line is reported before a self-loop on an earlier line
+    ("A -> A : 1\nB -> : 1", ParseError, "expected a species term", (2, 6)),
+    ("A -> A : 1", SelfLoopError, "line 1: a reaction may not map a complex to itself", None),
+    ("A -> B : 1\n\n  2A + B <-> B + A + A : 1, 2", SelfLoopError,
+     "line 3: a reaction may not map a complex to itself", None),
+    ("A -> B : 1\nA -> B : 2", DuplicateReactionError,
+     "line 2: reaction already given on line 1", None),
+    ("A <-> B : 1, 2\nB -> A : 3", DuplicateReactionError,
+     "line 2: reaction already given on line 1", None),
+    ("B -> A : 1\n# c\nA <-> B : 1, 2", DuplicateReactionError,
+     "line 3: reaction already given on line 1", None),
+    ("A + B -> C : 1\nB + A -> C : 2", DuplicateReactionError,
+     "line 2: reaction already given on line 1", None),
+]
+
+
+@pytest.mark.parametrize("text, kind, message, span", PARSE_ERRORS)
+def test_parse_error_table(text, kind, message, span):
+    with pytest.raises(CrnError) as err:
+        parse_network(text)
+    assert type(err.value) is kind
+    if span is None:
+        assert str(err.value) == message
+        assert not hasattr(err.value, "line")
+    else:
+        assert str(err.value) == f"{message} (line {span[0]}, column {span[1]})"
+        assert (err.value.line, err.value.column) == span
+
+
 def test_parse_repeated_species_in_side_sums():
     sys = parse_network("A + A -> B : 1")
     net = sys.network
