@@ -132,10 +132,7 @@ def _implications(sys: MassActionSystem, det: dict, components, tol: float) -> l
         "det:cyb": det["cyb_system"],
         "det:rvb_at_rb": det_rb and detbal.classify_state(sys, det["rb_state"], tol).rvb.holds,
     }
-    degree = max(
-        (sys.network.complexes[r.source].degree for r in sys.network.reactions),
-        default=0,
-    )
+    degree = sys.network.source_factors[-1]
     scopes = [(_ARROWS["system"], facts, "")]
     for comp, active, report, support in components:
         comp_facts = {**facts, "active": active, "rich": _support_has_grid(support, degree)}

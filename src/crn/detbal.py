@@ -38,7 +38,7 @@ from .errors import (
     NumericalRankFailureError,
 )
 from .graph import cycles_of, is_reversible, is_weakly_reversible, linkage_classes
-from .kinetics import det_rates
+from .kinetics import _monomials, det_rates
 from .model import (
     MassActionSystem,
     Verdict,
@@ -305,17 +305,22 @@ def solve_reaction_balanced(
         rows.append(net.reaction_vectors[k].astype(float))
         rhs.append(math.log(sys.kappa[k] / sys.kappa[back]))
     if not rows:
-        c = np.ones(net.n)
-        return c
-    A = np.array(rows)
-    b = np.array(rhs)
+        return np.ones(net.n)
+    return _log_linear_state(sys, np.array(rows), np.array(rhs), tol, "rb", tol)
+
+
+def _log_linear_state(sys: MassActionSystem, A, b, bound: float, condition: str, tol: float):
+    """``exp`` of the first n coordinates of the least-squares ``A u = b``, or
+    None past the residual ``bound`` or if ``condition`` fails there; raises
+    ``NonFiniteStateError`` where ``exp`` overflows and no verdict exists."""
     u, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if float(np.max(np.abs(A @ u - b))) > tol:
+    if float(np.max(np.abs(A @ u - b))) > bound:
         return None
-    c = np.exp(u)
-    if not classify_state(sys, c, tol).rb.holds:
-        return None
-    return c
+    with np.errstate(over="ignore"):
+        c = np.exp(u[: sys.network.n])
+    if not np.isfinite(c).all():
+        raise NonFiniteStateError(f"{condition} state exp({u[: len(c)].tolist()}) is not finite")
+    return c if getattr(classify_state(sys, c, tol), condition).holds else None
 
 
 def _class_kernel(sys: MassActionSystem, members: tuple[int, ...]) -> np.ndarray:
@@ -371,13 +376,7 @@ def solve_complex_balanced(sys: MassActionSystem, tol: float = 1e-9) -> np.ndarr
             A[i, : net.n] = net.complexes[i].coeffs
             A[i, net.n + cls_id] = -1.0
             b[i] = log_kernel[i]
-    u, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if float(np.max(np.abs(A @ u - b))) > 1e-7:
-        return None
-    c = np.exp(u[: net.n])
-    if not classify_state(sys, c, tol).cb.holds:
-        return None
-    return c
+    return _log_linear_state(sys, A, b, 1e-7, "cb", tol)
 
 
 def solve_rvb(sys: MassActionSystem, starts: int = 32) -> list[np.ndarray]:
@@ -486,11 +485,8 @@ def solve_rvb(sys: MassActionSystem, starts: int = 32) -> list[np.ndarray]:
     C = C[((C >= lo) & (C <= hi)).all(axis=1)]
     # the rvb rows of classify_state, at the same rates and tolerance
     rvb = [eq for eq in _balance_equations(net) if eq[0] == "rvb"]
-    found = []
-    for c in C:
-        flux = det_rates(sys, c).tolist()
-        if all(_mismatch(cond, lhs, rhs, flux, 1e-9) is None for cond, _, lhs, rhs in rvb):
-            found.append(c)
+    found = [c for c, flux in zip(C, det_rates(sys, C).tolist())
+             if all(_mismatch(cond, lhs, rhs, flux, 1e-9) is None for cond, _, lhs, rhs in rvb)]
 
     found.sort(key=lambda c: tuple(c))
     kept = np.empty((0, net.n))
@@ -554,13 +550,12 @@ def integrate(
     # imported here: scipy.integrate adds about 0.3 s to a fresh interpreter
     from scipy.integrate import ODEintWarning, odeint
 
-    Y = net.source_matrix
     RV = net.reaction_vectors.T.astype(float)
     kappa = np.asarray(sys.kappa)
 
     def field(z, _t):
-        # det_rates' rate law at max(z, 0), inlined for the solver's calls
-        return RV @ (kappa * np.prod(np.maximum(z, 0.0)[None, :] ** Y, axis=1))
+        # det_rates' product at max(z, 0), without its checks and edge rules
+        return RV @ (kappa * _monomials(net, np.maximum(z, 0.0)))
 
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("ignore", ODEintWarning)

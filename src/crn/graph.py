@@ -168,8 +168,8 @@ def active_subnetwork(sys: MassActionSystem, states) -> ReactionNetwork:
     if not states:
         raise ValueError("need at least one state")
     counts = [x for x in states if isinstance(x, tuple)]
-    det = [det_rates(sys, c) for c in states if not isinstance(c, tuple)]
-    rates = np.vstack([propensities(sys, counts), *det])
+    det = [c for c in states if not isinstance(c, tuple)] or np.empty((0, net.n))
+    rates = np.vstack([propensities(sys, counts), det_rates(sys, np.array(det, dtype=float))])
     active = np.flatnonzero((rates > 0).any(axis=0)).tolist()
     reactions = [net.reactions[k] for k in active]
     ends = [net.complexes[i] for rxn in reactions for i in (rxn.source, rxn.target)]

@@ -1,10 +1,11 @@
 """Mass-action rate evaluation, deterministic and stochastic.
 
-Deterministic rates are ``indicator(c >= 0) * kappa * c**y`` with the
-convention ``0**0 = 1``; any negative coordinate kills every rate.
-Stochastic rates are the falling-factorial form
-``kappa * x!/(x-y)! * indicator(x >= y)``; states off the nonnegative
-orthant are therefore absorbing.
+Both rate laws are ``kappa`` times the left-to-right product of a reaction's
+columns of ``ReactionNetwork.source_factors``.  Deterministic columns hold
+``c_i``, so a rate is ``kappa * c**y`` (``0**0 = 1``); a zero factor gives
+exactly 0, also past an overflow, and a negative coordinate kills every rate
+of its state.  Stochastic columns hold ``x_i - j``, so a rate is
+``kappa * x!/(x-y)! * indicator(x >= y)`` and states off the orthant absorb.
 """
 
 from __future__ import annotations
@@ -16,26 +17,28 @@ import numpy as np
 from .model import MassActionSystem
 
 
-def det_rates(sys: MassActionSystem, c) -> np.ndarray:
-    """Deterministic mass-action rates at concentration vector ``c``.
+def _monomials(net, c: np.ndarray) -> np.ndarray:
+    """Source monomials of ``net`` at a float state or at each row of a stack:
+    correctly rounded products, so no SIMD dispatch changes a bit."""
+    species, _, _, starts, _ = net.source_factors
+    factors = c[..., species]
+    factors[..., starts] = 1.0
+    return np.multiply.reduceat(factors, starts, axis=-1)
 
-    Returns an array aligned with ``sys.network.reactions``.
-    """
+
+def det_rates(sys: MassActionSystem, c) -> np.ndarray:
+    """Deterministic mass-action rates at concentration vector ``c``, aligned
+    with ``sys.network.reactions``; N x r at the rows of an N x n stack, each
+    row bit for bit the rates of its state alone."""
     net = sys.network
-    c = np.asarray(c, dtype=float).reshape(-1)
-    if c.shape != (net.n,):
-        raise ValueError(f"state has length {c.shape[0]}, expected {net.n}")
-    rates = np.zeros(net.r)
-    if net.r == 0 or np.any(c < 0):
-        return rates
-    with np.errstate(over="ignore"):
-        for k in range(net.r):
-            mono = 1.0
-            for ci, yi in zip(c, net.source_matrix[k]):
-                if yi:
-                    mono *= ci ** yi
-            rates[k] = sys.kappa[k] * mono
-    return rates
+    rows = np.atleast_2d(np.asarray(c, dtype=float))
+    if rows.shape[1] != net.n:
+        raise ValueError(f"state has length {rows.shape[1]}, expected {net.n}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = np.asarray(sys.kappa) * _monomials(net, rows)
+    rates[(rows == 0) @ (net.source_matrix > 0).T] = 0.0  # also inf * 0
+    rates[(rows < 0).any(axis=1)] = 0.0
+    return rates if np.ndim(c) == 2 else rates[0]
 
 
 def propensities(sys: MassActionSystem, states) -> np.ndarray:

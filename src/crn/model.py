@@ -146,19 +146,21 @@ class ReactionNetwork:
 
     @cached_property
     def source_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-        """Falling-factorial factors of the sources, one column each.
+        """Factors of the source monomials, one column each, for both rate laws.
 
-        Column p is ``weight[p] * x[species[p]] - offset[p]``; reaction k owns
-        the columns from ``starts[k]`` to the next start, the first a constant
-        1.  ``degree`` is the largest source degree.
+        Reaction k owns the columns from ``starts[k]`` to the next start, the
+        first a constant 1.  A stochastic column is the falling-factorial factor
+        ``weight[p] * x[species[p]] - offset[p]``, a deterministic one
+        ``c[species[p]]``.  ``degree`` is the largest source degree.
         """
+        rows = self.source_matrix.tolist()  # lists beat numpy rows at these sizes
         columns, starts = [], []
-        for row in self.source_matrix:
+        for row in rows:
             starts.append(len(columns))
             columns.append((0, 0, -1))
-            columns.extend((i, 1, j) for i in np.flatnonzero(row) for j in range(row[i]))
+            columns.extend((i, 1, j) for i, y in enumerate(row) for j in range(y))
         species, weight, offset = np.array(columns, dtype=np.int64).reshape(-1, 3).T
-        degree = int(self.source_matrix.sum(axis=1).max(initial=0))
+        degree = max(map(sum, rows), default=0)
         return species, weight, offset, np.array(starts, dtype=np.intp), degree
 
     @cached_property

@@ -648,6 +648,30 @@ def test_classify_state_at_an_overflowing_rate_is_a_numerical_failure(capsys):
     assert captured.err == "NonFiniteStateError: a reaction rate at state [1e+200] is not finite\n"
 
 
+def test_classify_state_rate_with_a_zero_factor_is_zero_past_an_overflow(tmp_path, capsys):
+    # A**2 overflows at A = 1e200, but B = 0 makes the rate of 2A + B -> C
+    # exactly 0; the suite turns numpy's invalid-value warning into an error
+    path = tmp_path / "zero_factor.crn"
+    path.write_text("2A + B <-> C : 1, 1\n")
+    assert main(["classify-state", str(path), "--state", "A=1e200,B=0,C=1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    witness = json.loads(captured.out)["rb"]["witness"]
+    assert (witness["lhs"], witness["rhs"]) == (1, 0)
+
+
+def test_analyze_balanced_state_beyond_float_range_is_a_numerical_failure(tmp_path, capsys):
+    # the rate constants' ratio overflows, so the log-linear rb solve has no
+    # finite state: exit 3 with one stderr line and no numpy warning
+    path = tmp_path / "overflow.crn"
+    path.write_text("0 <-> A : 1e300, 1e-300\n")
+    assert main(["analyze", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("NonFiniteStateError: rb state exp(")
+
+
 def test_cycle_with_a_missing_reverse_reads_not_cycle_balanced(tmp_path, capsys):
     path = tmp_path / "one_way_triangle.crn"
     path.write_text("A -> B : 1\nB -> C : 1\nC -> A : 2\n")

@@ -13,6 +13,14 @@ network.  A changed byte of any output fails its case.  After a deliberate
 output change, re-record the file and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_cli_goldens.py
+
+The digests were recorded with numpy 2.4.6 on an x86-64 machine whose numpy
+dispatches its AVX-512 (X86_V4) loops, with OpenBLAS 0.3.31 picking its own
+kernels.  They hold on such a machine only: numpy's SIMD loops and
+OpenBLAS's kernels round some floats differently on other CPUs, which moves
+the last digits of ``analyze`` and ``stationary`` outputs (``parse``,
+``classify-state`` and ``simulate`` do not move).  A strict xfail below pins
+this for one ``analyze`` case.
 """
 
 from __future__ import annotations
@@ -23,7 +31,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -116,6 +127,25 @@ def test_golden_cases_are_current():
 def test_cli_output_matches_golden(argv):
     golden = next(entry for entry in _load() if entry["argv"] == argv)
     assert run(argv) == (golden["exit"], golden["sha256"])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the goldens hold only where numpy dispatches AVX-512")
+def test_analyze_golden_without_avx512_dispatch():
+    # numpy's X86_V4 loops off, as on a CPU without AVX-512: the last digits
+    # of triangle's rvb states move (7.552586601833683 reads ...687)
+    argv = _analyze("triangle")
+    golden = next(entry for entry in _load() if entry["argv"] == argv)
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(GOLDENS.parent), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    code = "import sys, test_cli_goldens as g; print(*g.run(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    if proc.returncode:  # a crash is a failure, not the expected one
+        raise RuntimeError(proc.stderr)
+    assert proc.stdout.split() == [str(golden["exit"]), golden["sha256"]]
 
 
 def test_outputs_do_not_depend_on_how_sum_rounds_floats(monkeypatch):

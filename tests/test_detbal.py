@@ -19,7 +19,13 @@ from crn import (
 )
 from crn.errors import NonFiniteStateError, NotReversibleError, NotWeaklyReversibleError
 
-from helpers import CORPUS, load, random_conservative_reversible_system
+from helpers import (
+    CORPUS,
+    load,
+    random_conservative_reversible_system,
+    random_irreversible_system,
+    random_weakly_reversible_deficiency_zero,
+)
 
 
 TRIANGLE = CORPUS["triangle"]
@@ -60,6 +66,57 @@ def test_det_rates_one_species_monomials():
 def test_det_rates_negative_state_all_zero():
     sys = parse_network(SQUARE)
     assert det_rates(sys, [-1.0, 2.0]).tolist() == [0.0] * 8
+
+
+def test_det_rates_zero_factor_is_zero_past_an_overflow():
+    # A**2 overflows to inf at A = 1e200, and inf * 0 would be nan with a
+    # warning, which the suite turns into an error
+    rates = rate_by_label(parse_network("2A + B <-> C : 1, 1"), [1e200, 0.0, 1.0])
+    assert rates == {("2A + B", "C"): 0.0, ("C", "2A + B"): 1.0}
+
+
+def _rate_test_systems(rng):
+    systems = [load(name) for name in sorted(CORPUS)]
+    systems += [random_irreversible_system(rng) for _ in range(30)]
+    return systems + [random_weakly_reversible_deficiency_zero(rng) for _ in range(10)]
+
+
+def _folded_rates(sys, c):
+    """kappa_k times a Python float fold of reaction k's source factors,
+    left to right: IEEE products, whatever numpy's SIMD dispatch."""
+    species, _, _, starts, _ = sys.network.source_factors
+    ends = [*starts[1:].tolist(), len(species)]
+    rates = []
+    for kappa, start, end in zip(sys.kappa, starts.tolist(), ends):
+        mono = 1.0
+        for p in range(start + 1, end):  # column ``start`` is the constant 1
+            mono *= float(c[species[p]])
+        rates.append(float(kappa) * mono)
+    return rates
+
+
+def test_det_rates_equal_a_python_fold_of_the_source_factors():
+    rng = np.random.default_rng(31)
+    for sys in _rate_test_systems(rng):
+        for _ in range(5):
+            c = np.exp(rng.uniform(-4.0, 4.0, sys.network.n))
+            c[rng.random(sys.network.n) < 0.2] = 0.0
+            got = det_rates(sys, c).tolist()
+            assert [v.hex() for v in got] == [v.hex() for v in _folded_rates(sys, c)], sys
+
+
+def test_det_rates_of_a_stack_equal_its_rows():
+    rng = np.random.default_rng(32)
+    for sys in _rate_test_systems(rng):
+        n, r = sys.network.n, sys.network.r
+        C = np.exp(rng.uniform(-4.0, 4.0, (12, n)))
+        C[rng.random((12, n)) < 0.2] = 0.0
+        C[rng.random((12, n)) < 0.1] = 1e200  # some products overflow
+        C[0, -1] = -1.0  # a row off the orthant
+        rows = np.array([det_rates(sys, c) for c in C]).reshape(12, r)
+        assert det_rates(sys, C).tobytes() == rows.tobytes(), sys
+        assert det_rates(sys, C[:0]).shape == (0, r)
+        assert np.all(det_rates(sys, C)[0] == 0.0)
 
 
 def test_drift_zeros_at_rvb_roots():
@@ -153,6 +210,15 @@ def test_solve_reaction_balanced_symmetric_triangle():
     sys = load("mono_triangle")
     c = solve_reaction_balanced(sys)
     assert np.allclose(c, 1.0)
+
+
+@pytest.mark.parametrize("text", [
+    "0 <-> A : 1e300, 1e-300",  # the constants' ratio overflows: log-linear rhs inf
+    "0 <-> B : 1e300, 1e-4\nA <-> 2B : 1, 1",  # a consistent log c_A of about 1400
+])
+def test_solve_reaction_balanced_beyond_float_range_is_not_a_state(text):
+    with pytest.raises(NonFiniteStateError, match=r"rb state exp\(.*\) is not finite"):
+        solve_reaction_balanced(parse_network(text))
 
 
 def test_solve_complex_balanced_square():
