@@ -46,11 +46,11 @@ basis, conserved = crn.stoichiometric_basis(net)
 print("stoichiometric dimension:", len(basis))
 print("conserved quantities:", [tuple(str(v) for v in w) for w in conserved])
 
-# Directed cycle enumeration (the raw material of cycle balance) and the
-# active subnetwork at a state.
+# The cycle basis that cycle balance is checked on (one fundamental cycle
+# per reversible pair off a spanning forest) and the active subnetwork at a
+# state.
 square = load("square")
-cycles = crn.simple_cycles(square.network)
-print("\nsquare system directed cycles:", [c.complexes for c in cycles])
+print("\nsquare system cycle basis:", list(crn.cycles_of(square.network)))
 
 acr = load("absolute_concentration")
 sub = crn.active_subnetwork(acr, [(0, 1)])

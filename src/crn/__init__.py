@@ -12,7 +12,6 @@ from .errors import (
     BalanceConsistencyError,
     BoxTooSmallError,
     CrnError,
-    CycleBudgetExceededError,
     DuplicateReactionError,
     EmptyNetworkError,
     EmptySupportError,
@@ -55,13 +54,12 @@ from .model import (
 )
 from .parser import format_network, parse_network, parse_state
 from .graph import (
-    DirectedCycle,
     active_subnetwork,
+    cycles_of,
     deficiency,
     is_reversible,
     is_weakly_reversible,
     linkage_classes,
-    simple_cycles,
 )
 from .kinetics import det_rates
 from .detbal import (

@@ -41,7 +41,7 @@ def _det_summary(sys: MassActionSystem, tol: float, rvb_starts: int) -> dict:
     return {
         "rb_state": None if rb_state is None else list(rb_state),
         "cb_state": None if cb_state is None else list(cb_state),
-        "cyb_system": detbal.system_cycle_balanced(sys),
+        "cyb_system": detbal.system_cycle_balanced(sys, tol),
         "rvb_states": [list(c) for c in detbal.solve_rvb(sys, starts=rvb_starts)],
     }
 

@@ -10,15 +10,16 @@ A state is classified against four balance conditions:
   complexes, the forward and backward rate products agree.
 
 Each condition is a family of flux equations, listed once in
-``_balance_equations``: ``classify_state`` evaluates them with the rates at
-``c``, and ``crn.stoch.classify_measure`` with a measure's weighted
-propensities at every state.  Each scalar equation passes iff ``_close``
-holds, ``|lhs - rhs| <= tol * (scale + |lhs| + |rhs|)`` with scale 1 here;
-cycle products are compared in log space by the same rule on the log-sums,
-with zero factors short-circuited exactly.  A state at which some rate is
-not finite raises ``NonFiniteStateError`` instead of getting a verdict, in
-``classify_state``, ``is_equilibrium`` and the solvers that check their
-answer with ``classify_state``.
+``_balance_equations`` and, on the cycle basis of the complexes with
+outgoing flux, ``_cycle_equations``: ``classify_state`` evaluates them with
+the rates at ``c``, and ``crn.stoch.classify_measure`` with a measure's
+weighted propensities at every state.  Each scalar equation passes iff
+``_close`` holds, ``|lhs - rhs| <= tol * (scale + |lhs| + |rhs|)`` with
+scale 1 here; cycle products are compared in log space by the same rule on
+the log-sums, with zero factors short-circuited exactly.  A state at which
+some rate is not finite raises ``NonFiniteStateError`` instead of getting a
+verdict, in ``classify_state``, ``is_equilibrium`` and the solvers that
+check their answer with ``classify_state``.
 """
 
 from __future__ import annotations
@@ -172,34 +173,33 @@ def _log_product_mismatch(fwd, bwd, tol, factor_scale):
     return as_float(lf), as_float(lb)
 
 
+def _frozen(values, n: int) -> np.ndarray:
+    v = np.array(values, dtype=np.int64).reshape(n)
+    v.flags.writeable = False  # shared by every caller of the cached tables
+    return v
+
+
 @lru_cache(maxsize=512)
 def _balance_equations(net) -> tuple[tuple[str, str, tuple, tuple], ...]:
-    """Every rb, cb, rvb and cyb equation of ``net`` once, in witness order.
+    """Every rb, cb and rvb equation of ``net`` once, in witness order.
 
     An equation is ``(condition, label, lhs, rhs)`` and a side is a tuple of
     flux groups ``(shift, reactions)``, the shift a read-only integer
     vector.  At a state ``c`` a group's flux is
     the in-order sum of its reactions' rates; for a measure ``mu`` at ``x``
     it is ``mu(x + shift)`` times the in-order sum of their propensities at
-    ``x + shift``.  A cyb side is the product of its groups' fluxes, every
-    other side their in-order sum.  An absent reaction (the reverse of an
-    irreversible one) is an empty group, and a complex in no reaction has no
-    cb equation.
+    ``x + shift``.  A side is the in-order sum of its groups' fluxes.  An
+    absent reaction (the reverse of an irreversible one) is an empty group,
+    and a complex in no reaction has no cb equation.
     """
-
-    def vector(values):
-        v = np.array(values, dtype=np.int64).reshape(net.n)
-        v.flags.writeable = False  # shared by every caller of the cached table
-        return v
-
-    coeffs = [vector(cx.coeffs) for cx in net.complexes]
-    zero = vector((0,) * net.n)
+    coeffs = [_frozen(cx.coeffs, net.n) for cx in net.complexes]
+    zero = _frozen((0,) * net.n, net.n)
 
     def name(i):
         return net.complexes[i].format(net.species)
 
     def shift(i, j):
-        return vector(coeffs[j] - coeffs[i])
+        return _frozen(coeffs[j] - coeffs[i], net.n)
 
     def edge(i, j):
         k = net.edge_index.get((i, j))
@@ -217,31 +217,45 @@ def _balance_equations(net) -> tuple[tuple[str, str, tuple, tuple], ...]:
         if outgoing or incoming:
             equations.append(("cb", f"cb:{name(i)}", ((zero, outgoing),), incoming))
     for xi, (fwd, bwd) in reaction_vector_classes(net).items():
-        equations.append(("rvb", f"rvb:{xi}", ((zero, fwd),), ((vector(xi), bwd),)))
-    for cycle in cycles_of(net):
-        edges = cycle.edges()
-        equations.append((
-            "cyb",
-            f"cyb:{cycle.complexes}",
-            tuple((coeffs[u], edge(u, v)) for u, v in edges),
-            tuple((coeffs[v], edge(v, u)) for u, v in edges),
-        ))
+        equations.append(("rvb", f"rvb:{xi}", ((zero, fwd),), ((_frozen(xi, net.n), bwd),)))
     return tuple(equations)
 
 
-def classify_state(sys: MassActionSystem, c, tol: float = 1e-9) -> StateBalanceReport:
-    """Evaluate the four balance conditions literally at ``c``.
+@lru_cache(maxsize=1024)
+def _cycle_equations(net, dropped: frozenset[int]) -> dict:
+    """The cyb equation of each cycle of ``cycles_of(net, dropped)``, in
+    basis order and ``_balance_equations`` form: a side is the product of
+    one flux group per edge, read at the complex the edge leaves."""
+    coeffs = [_frozen(cx.coeffs, net.n) for cx in net.complexes]
 
-    Each condition's witness is its first failing equation in
-    ``_balance_equations`` order.
+    def group(i, j):
+        k = net.edge_index.get((i, j))
+        return coeffs[i], () if k is None else (k,)
+
+    equations = {}
+    for cycle in cycles_of(net, dropped):
+        edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+        lhs, rhs = tuple(group(i, j) for i, j in edges), tuple(group(j, i) for i, j in edges)
+        equations[cycle] = ("cyb", f"cyb:{cycle}", lhs, rhs)
+    return equations
+
+
+def classify_state(sys: MassActionSystem, c, tol: float = 1e-9) -> StateBalanceReport:
+    """Evaluate the four balance conditions at ``c``.
+
+    Cycle balance is read on the basis of the graph without the complexes
+    whose rates all vanish at ``c``.  Each condition's witness is its first
+    failing equation, in ``_balance_equations`` order and then by cycle.
     """
     net = sys.network
     c = det_state(c, net.n)
     rates = _finite_rates(sys, c)
     flux = rates.tolist()
     state = tuple(float(v) for v in c)
+    idle = frozenset(range(net.m)) - {r.source for r, f in zip(net.reactions, flux) if f > 0}
     verdicts = dict.fromkeys(("rb", "cb", "rvb", "cyb"), Verdict.ok())
-    for condition, label, lhs, rhs in _balance_equations(net):
+    equations = (*_balance_equations(net), *_cycle_equations(net, idle).values())
+    for condition, label, lhs, rhs in equations:
         if verdicts[condition].fails:
             continue
         bad = _mismatch(condition, lhs, rhs, flux, tol)
@@ -261,24 +275,22 @@ def _mismatch(condition, lhs, rhs, flux, tol):
     return None if _close(fwd, bwd, tol) else (fwd, bwd)
 
 
-def system_cycle_balanced(sys: MassActionSystem) -> bool:
+def system_cycle_balanced(sys: MassActionSystem, tol: float = 1e-9) -> bool:
     """Whether every positive state is cycle balanced.
 
     For mass action this is a property of the rate constants alone: around
     every directed simple cycle the forward and backward constant products
-    must agree (and every reversed edge must exist).
+    must agree (and every reversed edge must exist).  It is read on the
+    cycle basis, whose cycle of length j may differ by j * ``tol`` in log
+    space, so that reaction balance within ``tol`` implies it.
     """
-    net = sys.network
-    for cycle in cycles_of(net):
-        log_fwd = 0.0
-        log_bwd = 0.0
-        for a, b in cycle.edges():
-            log_fwd += math.log(sys.rate_constant(a, b))
-            back = sys.rate_constant(b, a)
-            if back == 0.0:
-                return False
-            log_bwd += math.log(back)
-        if abs(log_fwd - log_bwd) > 1e-9:
+    for cycle in cycles_of(sys.network):
+        edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+        if any(sys.rate_constant(b, a) == 0.0 for a, b in edges):
+            return False
+        logs = (math.log(sys.rate_constant(a, b)) - math.log(sys.rate_constant(b, a))
+                for a, b in edges)
+        if abs(math.fsum(logs)) > len(cycle) * tol:
             return False
     return True
 

@@ -77,14 +77,6 @@ class NonIntegerCountError(ParseError):
 
 
 # ---------------------------------------------------------------------------
-# graph analysis
-# ---------------------------------------------------------------------------
-
-class CycleBudgetExceededError(CrnError, RuntimeError):
-    """Cycle enumeration found more cycles than the configured cap."""
-
-
-# ---------------------------------------------------------------------------
 # deterministic solvers
 # ---------------------------------------------------------------------------
 

@@ -1,18 +1,17 @@
 """Structural analysis of the reaction graph.
 
 All functions are pure and deterministic: complexes are already in canonical
-order, neighbors are visited in ascending index order, and cycle output is
+order, neighbors are visited in ascending index order, and cycles are
 canonically rotated (smallest complex index first).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import CycleBudgetExceededError, EmptyNetworkError
+from .errors import EmptyNetworkError
 from .kinetics import det_rates, propensities
 from .model import (
     Complex,
@@ -24,27 +23,6 @@ from .model import (
     stoichiometric_basis,
 )
 
-# Cycles enumerated before simple_cycles gives up on a network.
-_CYCLE_BUDGET = 10**6
-
-
-@dataclass(frozen=True)
-class DirectedCycle:
-    """A directed simple cycle of length >= 3, rotated so the smallest
-    complex index comes first."""
-
-    complexes: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.complexes) < 3:
-            raise ValueError("directed cycles must have at least 3 complexes")
-        if len(set(self.complexes)) != len(self.complexes):
-            raise ValueError("cycle complexes must be distinct")
-
-    def edges(self) -> list[tuple[int, int]]:
-        cs = self.complexes
-        return [(cs[i], cs[(i + 1) % len(cs)]) for i in range(len(cs))]
-
 
 def _out_neighbors(net: ReactionNetwork) -> list[list[int]]:
     out: list[list[int]] = [[] for _ in range(net.m)]
@@ -55,19 +33,26 @@ def _out_neighbors(net: ReactionNetwork) -> list[list[int]]:
     return out
 
 
-def _reach(adj, start: int, seen: list[bool]) -> list[int]:
-    """Nodes reachable from ``start`` along ``adj`` that were not yet
-    ``seen``; marks them seen."""
-    stack, found = [start], []
-    seen[start] = True
-    while stack:
-        node = stack.pop()
-        found.append(node)
+def _search(adj, start: int, back: dict) -> list[int]:
+    """Breadth-first search from ``start`` along ``adj``, past the nodes in
+    ``back``: records in ``back`` the node each new one was reached from
+    (None for ``start``) and returns the new ones in the order reached."""
+    back[start] = None
+    queue = [start]
+    for node in queue:
         for nxt in adj[node]:
-            if not seen[nxt]:
-                seen[nxt] = True
-                stack.append(nxt)
-    return found
+            if nxt not in back:
+                back[nxt] = node
+                queue.append(nxt)
+    return queue
+
+
+def _walk(back: dict, node: int) -> list[int]:
+    """``node`` and the nodes it was reached from, back to the start."""
+    path = [node]
+    while back[path[-1]] is not None:
+        path.append(back[path[-1]])
+    return path
 
 
 def linkage_classes(net: ReactionNetwork) -> tuple[tuple[int, ...], ...]:
@@ -80,9 +65,9 @@ def linkage_classes(net: ReactionNetwork) -> tuple[tuple[int, ...], ...]:
     for rxn in net.reactions:
         adj[rxn.source].add(rxn.target)
         adj[rxn.target].add(rxn.source)
-    seen = [False] * net.m
+    back: dict = {}
     return tuple(
-        tuple(sorted(_reach(adj, start, seen))) for start in range(net.m) if not seen[start]
+        tuple(sorted(_search(adj, start, back))) for start in range(net.m) if start not in back
     )
 
 
@@ -96,7 +81,7 @@ def is_weakly_reversible(net: ReactionNetwork) -> bool:
     """True iff every reaction's source is reachable from its target."""
     out = _out_neighbors(net)
     targets = {r.target for r in net.reactions}
-    reach = {t: set(_reach(out, t, [False] * net.m)) for t in targets}
+    reach = {t: set(_search(out, t, {})) for t in targets}
     return all(r.source in reach[r.target] for r in net.reactions)
 
 
@@ -109,50 +94,46 @@ def deficiency(net: ReactionNetwork) -> int:
     return value
 
 
-def simple_cycles(net: ReactionNetwork) -> list[DirectedCycle]:
-    """All directed simple cycles of at least 3 complexes.
+def _rotated(cycle: list[int]) -> tuple[int, ...]:
+    i = cycle.index(min(cycle))
+    return tuple(cycle[i:] + cycle[:i])
 
-    Each cycle is emitted once, rotated so its smallest complex index comes
-    first; the output is sorted by (length, complex tuple).  A reversible
-    pair is not a cycle.  Raises :class:`CycleBudgetExceededError` beyond
-    ``_CYCLE_BUDGET`` cycles.
+
+@lru_cache(maxsize=1024)
+def cycles_of(
+    net: ReactionNetwork, dropped: frozenset[int] = frozenset()
+) -> tuple[tuple[int, ...], ...]:
+    """A cycle basis of the reaction graph without the complexes ``dropped``,
+    each cycle rotated to start at its smallest complex, sorted by (length,
+    complexes): one fundamental cycle per reversible pair off a breadth-first
+    spanning forest of the reversible pairs, in its smaller orientation, and
+    one shortest directed cycle through each irreversible reaction that lies
+    on a cycle.
+
+    With positive fluxes, cycle balance holds around every directed simple
+    cycle iff around these (Schnakenberg 1976, Rev. Mod. Phys. 48:571), and a
+    cycle through a complex without flux holds, so callers drop those.
     """
-    out = _out_neighbors(net)
-    cycles: list[DirectedCycle] = []
+    out = [[] if i in dropped else [j for j in nbrs if j not in dropped]
+           for i, nbrs in enumerate(_out_neighbors(net))]
+    pairs = [[j for j in out[i] if i in out[j]] for i in range(net.m)]
+    forest: dict = {}
     for root in range(net.m):
-        # Depth-first search over paths whose interior nodes all exceed the
-        # root, which makes the root the canonical rotation point.
-        path = [root]
-        on_path = {root}
-        iters = [iter(out[root])]
-        while iters:
-            found_child = False
-            for nxt in iters[-1]:
-                if nxt == root:
-                    if len(path) >= 3:
-                        cycles.append(DirectedCycle(tuple(path)))
-                        if len(cycles) > _CYCLE_BUDGET:
-                            raise CycleBudgetExceededError(
-                                f"more than {_CYCLE_BUDGET} directed cycles"
-                            )
-                    continue
-                if nxt > root and nxt not in on_path:
-                    path.append(nxt)
-                    on_path.add(nxt)
-                    iters.append(iter(out[nxt]))
-                    found_child = True
-                    break
-            if not found_child:
-                on_path.discard(path.pop())
-                iters.pop()
-    cycles.sort(key=lambda cy: (len(cy.complexes), cy.complexes))
-    return cycles
-
-
-@lru_cache(maxsize=512)
-def cycles_of(net: ReactionNetwork) -> tuple[DirectedCycle, ...]:
-    """Memoized :func:`simple_cycles`."""
-    return tuple(simple_cycles(net))
+        if root not in forest:
+            _search(pairs, root, forest)
+    cycles = set()
+    for i in range(net.m):
+        for j in out[i]:
+            if i not in out[j]:  # a shortest path back from j closes the cycle
+                back: dict = {}
+                if i in _search(out, j, back):
+                    cycles.add(_rotated(_walk(back, i)[::-1]))
+            elif i < j and i != forest[j] and j != forest[i]:  # the tree path does
+                up, down = _walk(forest, i), _walk(forest, j)
+                top = next(node for node in up if node in down)
+                path = up[: up.index(top) + 1] + down[: down.index(top)][::-1]
+                cycles.add(min(_rotated(path), _rotated(path[::-1])))
+    return tuple(sorted(cycles, key=lambda cycle: (len(cycle), cycle)))
 
 
 def active_subnetwork(sys: MassActionSystem, states) -> ReactionNetwork:

@@ -20,7 +20,8 @@ found by following one map per reaction vector with repeated squaring, in
 numpy alone.  Measure classification sorts its candidate states once per
 call and tabulates, per offset that any equation reads, where each shifted
 candidate lies in the support and whether it is trusted; every equation of
-``detbal._balance_equations``, and global balance, reads rows of that table.
+``detbal._balance_equations``, the cycle equations and global balance read
+rows of that table.
 
 Scalar balance equations for measures are compared by ``detbal._close``
 with scale ``flux_scale``, ``|lhs - rhs| <= tol * (flux_scale + |lhs| +
@@ -48,9 +49,11 @@ from .errors import (
 from .detbal import (
     _balance_equations,
     _close as _balanced,
+    _cycle_equations,
     _log_product_mismatch,
     reaction_vector_classes,
 )
+from .graph import cycles_of
 from .kinetics import propensities
 from .model import (
     MassActionSystem,
@@ -686,12 +689,19 @@ def classify_measure(
     instances are counted and can only weaken a verdict to Undetermined,
     never flip it.
 
-    One table serves every equation of ``detbal._balance_equations`` and
-    global balance: the sorted states ``x`` with ``x + d`` in the support
-    for some offset ``d`` that any of them reads, and per offset the support
-    row of each ``x + d`` and whether it is trusted.  The witness of a
-    failing condition is its first failing checked instance, equations in
-    table order and states in sorted order.
+    Cycle balance at ``x`` is checked on the basis of the graph without the
+    complexes ``u`` whose state ``x + y_u`` is untrusted or whose flux
+    ``mu(x + y_u) * lambda_u(x + y_u)`` is zero: every cycle through the
+    latter holds.  The basis cycles that the untrusted ones take away are
+    skipped.
+
+    One table serves every equation of ``detbal._balance_equations``, the
+    cycle equations and global balance: the sorted states ``x`` with
+    ``x + d`` in the support for some offset ``d`` that any of them reads,
+    and per offset the support row of each ``x + d`` and whether it is
+    trusted.  The witness of a failing condition is its first failing checked
+    instance, equations in table order, cycles by (length, complexes), and
+    states in sorted order.
     """
     return _classify(sys, mu, domain, tol, truncation_faces, None)
 
@@ -730,11 +740,16 @@ def _classify(sys, mu, domain, tol, truncation_faces, component) -> MeasureBalan
         rates[:-1][rows < 0] = propensities(sys, points[rows < 0])
     flux_scale = max(0.0, float(np.max(weight * rates.sum(axis=1))))
 
-    # Row j of ``shifts`` is an offset that an equation reads, 0 and -v_k first.
+    # Row j of ``shifts`` is an offset that an equation reads, 0 and -v_k
+    # first; a cycle reads y_u for its complexes u, which have reactions in
+    # and out (the hubs).
     equations = _balance_equations(net)
     vecs = net.reaction_vectors
+    hubs = np.array(sorted({r.source for r in net.reactions} & {r.target for r in net.reactions})
+                    if cycles_of(net) else [], dtype=np.int64)
     read = [np.zeros(net.n, dtype=np.int64), *(-vecs)]
     read += [d for *_, lhs, rhs in equations for d, _ in lhs + rhs]
+    read += [np.array(net.complexes[u].coeffs) for u in hubs]
     row = {key: j for j, key in enumerate(dict.fromkeys(tuple(d.tolist()) for d in read))}
     shifts = np.array(list(row), dtype=np.int64).reshape(len(row), net.n)
     # The candidates ``x``, relative to the support's least corner ``lo``, are
@@ -771,12 +786,13 @@ def _classify(sys, mu, domain, tol, truncation_faces, component) -> MeasureBalan
     # [checked, skipped, witness] per condition
     tallies = {name: [0, 0, None] for name in ("rb", "cb", "rvb", "cyb", "stationary")}
 
-    def run_instances(name, label, refs, evaluate):
+    def run_instances(name, label, refs, evaluate, among=True):
         """An instance at x references x + d for each d in ``refs``; its
-        candidates are the x for which one of them is in the support."""
+        candidates are the x ``among`` those for which one of them is in
+        the support."""
         tally = tallies[name]
         js = [row[tuple(d.tolist())] for d in refs]
-        candidate = (pos[js] >= 0).any(axis=0)
+        candidate = (pos[js] >= 0).any(axis=0) & among
         (checked,) = np.nonzero(candidate & inner[js].all(axis=0))
         tally[0] += len(checked)
         tally[1] += int(candidate.sum()) - len(checked)
@@ -808,6 +824,32 @@ def _classify(sys, mu, domain, tol, truncation_faces, component) -> MeasureBalan
     for condition, label, lhs, rhs in equations:
         refs = [d for d, _ in lhs + rhs]
         run_instances(condition, label, refs, lambda at: evaluate(at, condition, lhs, rhs))
+
+    # Cycle balance at the x with some x + y_u in the support, grouped by
+    # which hubs have an untrusted state and which a zero flux
+    js = [row[net.complexes[u].coeffs] for u in hubs]
+    (cand,) = np.nonzero((pos[js] >= 0).any(axis=0))
+    cycles = {}
+    if len(cand):
+        # mu(x + y_u) * lambda_u(x + y_u) is zero off the support and off the orthant
+        zero = (pos[js][:, cand] < 0) | (x[cand] + lo < 0).any(axis=1)
+        untrusted = ~inner[js][:, cand]
+        codes = np.packbits(np.concatenate([zero, untrusted]), axis=0)
+        order = np.lexsort(codes)
+        for group in np.split(order, np.flatnonzero(np.diff(codes[:, order]).any(axis=0)) + 1):
+            far, idle = (hubs[rows[:, group[0]]].tolist() for rows in (untrusted, zero))
+            basis = _cycle_equations(net, frozenset(far + idle))
+            trusted = len(cycles_of(net, frozenset(far)))
+            # the trusted basis cycles through a zero flux hold and count as checked
+            tallies["cyb"][0] += len(group) * (trusted - len(basis))
+            tallies["cyb"][1] += len(group) * (len(cycles_of(net)) - trusted)
+            for cycle, equation in basis.items():
+                among = cycles.setdefault(cycle, (equation, np.zeros(len(keys), dtype=bool)))[1]
+                among[cand[group]] = True
+    for cycle in sorted(cycles, key=lambda c: (len(c), c)):
+        (condition, label, lhs, rhs), among = cycles[cycle]
+        refs = [d for d, _ in lhs + rhs]
+        run_instances(condition, label, refs, lambda at: evaluate(at, condition, lhs, rhs), among)
 
     # stationarity: the single global-balance equation per state
     def stationarity(at):

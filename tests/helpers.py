@@ -294,11 +294,12 @@ def weakly_reversible_oracle(net):
 
 
 def cycles_oracle(net, min_len=3):
-    """All directed simple cycles by brute-force permutation enumeration."""
+    """All directed simple cycles by brute-force permutation enumeration of
+    the complexes with reactions in and out."""
     edges = {(r.source, r.target) for r in net.reactions}
     found = set()
-    nodes = range(net.m)
-    for size in range(min_len, net.m + 1):
+    nodes = sorted({s for s, _ in edges} & {t for _, t in edges})
+    for size in range(min_len, len(nodes) + 1):
         for combo in permutations(nodes, size):
             if combo[0] != min(combo):
                 continue

@@ -9,8 +9,9 @@ its endpoints.  ``direct_sum`` lets one reference run serve many systems.
 
 ``classify_state`` is a copy of ``crn.detbal.classify_state`` as it was
 before the balance equations moved into one table: one hand-written loop
-per condition.  The differential test requires the same report, witness
-labels and floats included.
+per condition.  Its cycle loop reads the cycle basis without the complexes
+whose rates vanish, as the library does.  The differential test requires
+the same report, witness labels and floats included.
 
 ``solve_rvb`` is a copy of ``crn.detbal.solve_rvb`` as it was before its
 Newton starts ran as one array batch: one start at a time, one residual
@@ -151,13 +152,17 @@ def classify_state(sys: MassActionSystem, c, tol: float = 1e-9) -> StateBalanceR
             rvb = Verdict.fail(state, f"rvb:{xi}", lhs, rhs)
             break
 
+    # a cycle through a complex whose rates vanish holds: the basis of the
+    # graph without those complexes decides the rest
     cyb = Verdict.ok()
-    for cycle in cycles_of(net):
-        fwd = [rate_of(a, b) for a, b in cycle.edges()]
-        bwd = [rate_of(b, a) for a, b in cycle.edges()]
+    idle = frozenset(r.source for k, r in enumerate(net.reactions) if rates[k] == 0.0)
+    for cycle in cycles_of(net, idle):
+        edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+        fwd = [rate_of(a, b) for a, b in edges]
+        bwd = [rate_of(b, a) for a, b in edges]
         bad = _log_product_mismatch(fwd, bwd, tol, 1.0)
         if bad is not None:
-            cyb = Verdict.fail(state, f"cyb:{cycle.complexes}", *bad)
+            cyb = Verdict.fail(state, f"cyb:{cycle}", *bad)
             break
 
     return StateBalanceReport(rb, cb, rvb, cyb, *_equilibrium(net, c, rates, tol))

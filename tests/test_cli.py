@@ -681,6 +681,22 @@ def test_cycle_with_a_missing_reverse_reads_not_cycle_balanced(tmp_path, capsys)
         assert json.loads(out)["det"]["cyb_system"] is cyb
 
 
+def test_analyze_reads_cycle_balance_at_the_given_tol(tmp_path, capsys):
+    # each pair is balanced within 1e-6 and the triangle's log mismatch,
+    # 2e-9, is within 3 * 1e-6: rb holds at --tol 1e-6, and so does cyb
+    path = tmp_path / "near_balanced.crn"
+    path.write_text("A <-> B : 1, 1\nB <-> C : 1, 1\nC <-> A : 1.000000002, 1\n")
+    code, out = run_cli(capsys, "analyze", str(path), "--tol", "1e-6")
+    det = json.loads(out)["det"]
+    assert det["rb_state"] is not None and det["cyb_system"] is True
+    assert code == 0
+    # at 1e-12 neither holds
+    code, out = run_cli(capsys, "analyze", str(path), "--tol", "1e-12")
+    det = json.loads(out)["det"]
+    assert det["rb_state"] is None and det["cyb_system"] is False
+    assert code == 0
+
+
 def test_module_entry_point():
     src = str(pathlib.Path(crn.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

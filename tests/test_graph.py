@@ -1,18 +1,21 @@
+import json
+
 import numpy as np
 import pytest
 
 import crn
 from crn import (
     active_subnetwork,
+    cycles_of,
     deficiency,
     empty_network,
     is_reversible,
     is_weakly_reversible,
     linkage_classes,
     parse_network,
-    simple_cycles,
 )
-from crn.errors import CycleBudgetExceededError, EmptyNetworkError
+from crn.cli import main
+from crn.errors import EmptyNetworkError
 
 from helpers import (
     cycles_oracle,
@@ -87,37 +90,108 @@ def test_deficiency_nonnegative_fuzz():
         assert deficiency(net) >= 0
 
 
-def test_simple_cycles_triangle_and_square():
+def _edge_vector(net, cycle):
+    """The cycle as a signed sum of its edges, each unordered pair of
+    complexes one coordinate."""
+    pairs = sorted({tuple(sorted((r.source, r.target))) for r in net.reactions})
+    vec = np.zeros(len(pairs))
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        vec[pairs.index((min(a, b), max(a, b)))] += 1 if a < b else -1
+    return vec
+
+
+def _spans(net, basis, cycles):
+    """Whether the edge vectors of ``basis`` span those of ``cycles``."""
+    if not cycles:
+        return True
+    rank = np.linalg.matrix_rank
+    rows = [_edge_vector(net, cycle) for cycle in basis]
+    return rank(np.array(rows + [_edge_vector(net, c) for c in cycles])) == rank(
+        np.array(rows).reshape(len(rows), -1))
+
+
+def test_cycle_basis_triangle_and_square():
+    # one fundamental cycle each, the smaller of its two orientations
     tri = load("triangle").network
-    cycles = simple_cycles(tri)
-    assert len(cycles) == 2
-    assert {c.complexes for c in cycles} == cycles_oracle(tri)
+    assert cycles_of(tri) == ((0, 1, 2),)
+    assert set(cycles_of(tri)) < cycles_oracle(tri)
 
     sq = load("square").network
-    cycles = simple_cycles(sq)
-    assert len(cycles) == 2
-    assert all(len(c.complexes) == 4 for c in cycles)
-    assert {c.complexes for c in cycles} == cycles_oracle(sq)
+    assert cycles_of(sq) == ((0, 1, 3, 2),)
+    assert set(cycles_of(sq)) < cycles_oracle(sq)
+    assert _spans(sq, cycles_of(sq), cycles_oracle(sq))
 
 
-def test_simple_cycles_none_for_pairs():
+def test_cycle_basis_empty_for_pairs_and_without_dropped_complexes():
     net = parse_network("0 <-> A : 1, 1").network
-    assert simple_cycles(net) == []
+    assert cycles_of(net) == ()
+    # dropping a complex of the triangle leaves a path
+    tri = load("triangle").network
+    assert all(cycles_of(tri, frozenset({i})) == () for i in range(3))
 
 
-def test_simple_cycles_matches_oracle_on_random_networks():
+def test_cycle_basis_spans_oracle_cycles_on_random_networks():
     rng = np.random.default_rng(13)
     for _ in range(30):
         net = random_conservative_reversible_system(rng).network
-        got = {c.complexes for c in simple_cycles(net)}
-        assert got == cycles_oracle(net)
+        oracle = cycles_oracle(net)
+        basis = cycles_of(net)
+        pairs = {tuple(sorted((r.source, r.target))) for r in net.reactions}
+        assert len(basis) == len(pairs) - net.m + len(linkage_classes(net))
+        assert set(basis) <= oracle
+        assert basis == tuple(sorted(basis, key=lambda c: (len(c), c)))
+        assert _spans(net, basis, sorted(oracle))
+        for dropped in (frozenset({0}), frozenset({net.m - 1, 1})):
+            sub = {c for c in oracle if not dropped & set(c)}
+            assert set(cycles_of(net, dropped)) <= sub
+            assert _spans(net, cycles_of(net, dropped), sorted(sub))
 
 
-def test_cycle_budget(monkeypatch):
-    monkeypatch.setattr(crn.graph, "_CYCLE_BUDGET", 1)
-    six = load("six_complex").network
-    with pytest.raises(CycleBudgetExceededError, match="more than 1 directed cycles"):
-        simple_cycles(six)
+def test_cycle_basis_covers_each_irreversible_reaction_on_a_cycle():
+    # every reaction without a reverse that lies on some directed cycle lies
+    # on a shortest one of the basis
+    rng = np.random.default_rng(17)
+    complexes = [crn.Complex((d,)) for d in range(5)]
+    for _ in range(60):
+        pairs = [(i, j) for i in range(5) for j in range(5) if i != j and rng.random() < 0.35]
+        reactions = [crn.Reaction(i, j) for i, j in pairs]
+        used = sorted({i for pair in pairs for i in pair})
+        if len(used) < 5:
+            continue
+        net = crn.build_network(crn.SpeciesTable(("A",)), complexes, reactions)
+        oracle = cycles_oracle(net)
+        basis = cycles_of(net)
+        assert set(basis) <= oracle
+        for r in net.reactions:
+            if (r.target, r.source) in net.edge_index:
+                continue
+            through = [c for c in oracle if (r.source, r.target) in zip(c, c[1:] + c[:1])]
+            mine = [c for c in basis if (r.source, r.target) in zip(c, c[1:] + c[:1])]
+            assert bool(through) == bool(mine)
+            if through:
+                assert len(mine[0]) == min(map(len, through))
+
+
+def _complete_network(k: int) -> str:
+    """One species, complexes 0, A, ..., (k-1)A, every pair reversible, with
+    cycle-balanced rate constants."""
+    name = ["0", "A"] + [f"{d}A" for d in range(2, k)]
+    return "".join(
+        f"{name[i]} <-> {name[j]} : {i + 1}, {j + 1}\n" for i in range(k) for j in range(i + 1, k)
+    )
+
+
+@pytest.mark.parametrize("k", [10, 12])
+def test_analyze_complete_network_checks_the_cycle_basis(tmp_path, capsys, k):
+    # k = 10 has 1,112,028 directed cycles and k = 12 has 119,481,218, past
+    # any enumeration; the basis has (k - 1)(k - 2)/2
+    path = tmp_path / "complete.crn"
+    path.write_text(_complete_network(k))
+    assert main(["analyze", str(path), "--seed-state", "A=0", "--seed-state", "A=3",
+                 "--box", "30"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["det"]["cyb_system"] is True
+    assert len(cycles_of(parse_network(path.read_text()).network)) == (k - 1) * (k - 2) // 2
 
 
 def test_active_subnetwork_discrete():
