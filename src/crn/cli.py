@@ -106,10 +106,10 @@ def _parse_box(text: str | None, n: int) -> Box | None:
         raise ParseError(f"malformed box {text!r}")
     if not all(-(2**63) <= v < 2**63 for v in values):
         raise ParseError(f"box bound outside the signed 64-bit range in {text!r}")
-    box = _box_up_to(values * n if len(values) == 1 else values)
     if len(values) not in (1, n):
-        raise ParseError(f"box needs 1 or {n} upper bounds, got {len(values)}")
-    return box
+        bounds = "1 upper bound" if n == 1 else f"1 or {n} upper bounds"
+        raise ParseError(f"box needs {bounds}, got {len(values)}")
+    return _box_up_to(values * n if len(values) == 1 else values)
 
 
 def _emit(payload, pretty: bool):

@@ -51,7 +51,6 @@ from .detbal import (
     _close as _balanced,
     _cycle_equations,
     _log_product_mismatch,
-    reaction_vector_classes,
 )
 from .graph import cycles_of
 from .kinetics import propensities
@@ -207,14 +206,6 @@ def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return np.where(sorted_keys[pos] == keys, pos, -1)
 
 
-def _spread(terms, t_lo, t_hi) -> tuple[int, int]:
-    """Least and greatest ``sum k * t[b]`` over ``(b, k)`` in ``terms``."""
-    return (
-        sum(min(k * t_lo[b], k * t_hi[b]) for b, k in terms),
-        sum(max(k * t_lo[b], k * t_hi[b]) for b, k in terms),
-    )
-
-
 def _tighten(coef, lo, hi, t_lo, t_hi):
     """Shrink the ranges ``t_lo <= t <= t_hi`` in place by interval
     propagation over the constraints ``lo[j] <= sum_a t[a] * coef[a][j] <= hi[j]``,
@@ -224,8 +215,9 @@ def _tighten(coef, lo, hi, t_lo, t_hi):
         for j in range(len(lo)):
             terms = [(a, c[j]) for a, c in enumerate(coef) if c[j]]
             for a, k in terms:
-                rest_lo, rest_hi = _spread([tb for tb in terms if tb[0] != a], t_lo, t_hi)
-                low, high = lo[j] - rest_hi, hi[j] - rest_lo
+                # least and greatest value of the other terms
+                rest = [sorted((c * t_lo[b], c * t_hi[b])) for b, c in terms if b != a]
+                low, high = lo[j] - sum(r[1] for r in rest), hi[j] - sum(r[0] for r in rest)
                 if k < 0:
                     low, high, k = -high, -low, -k
                 new = (max(t_lo[a], -(-low // k)), min(t_hi[a], high // k))
@@ -238,15 +230,16 @@ def _tighten(coef, lo, hi, t_lo, t_hi):
 
 def _class_lattice(net, seed: tuple[int, ...], box: Box) -> np.ndarray | None:
     """Lattice points of ``box`` in the compatibility class of ``seed``, or
-    None when the class holds more than ``_LATTICE_CAP`` of them.
+    None when the ranges of ``t`` below span more than ``_LATTICE_CAP``
+    assignments.
 
     With the exact echelon basis ``b_a`` of the stoichiometric subspace
     (pivot ``p_a``, pivot entry ``d_a``), a point of the class is
     ``seed + sum_a t_a * b_a / d_a`` with integer ``t_a = x[p_a] - seed[p_a]``.
-    The ranges of ``t`` are tightened against every coordinate's box bounds,
-    then enumerated pivot by pivot, dropping partial assignments that can no
-    longer meet the box.  Pivot order is lexicographic point order, so the
-    points come out sorted.
+    The ranges of ``t`` are tightened against every coordinate's box bounds;
+    every assignment in them is enumerated pivot by pivot, and those that
+    land on an integer point of the box are kept.  Pivot order is
+    lexicographic point order, so the points come out sorted.
     """
     basis, _ = stoichiometric_basis(net)
     pivots = [int(np.flatnonzero(b)[0]) for b in basis]
@@ -261,17 +254,13 @@ def _class_lattice(net, seed: tuple[int, ...], box: Box) -> np.ndarray | None:
     if math.prod(h - l + 1 for l, h in zip(t_lo, t_hi)) > _LATTICE_CAP:
         return None
     offsets = np.zeros((1, net.n), dtype=np.int64)
-    for a, c in enumerate(coef):
-        values = np.arange(t_lo[a], t_hi[a] + 1, dtype=np.int64)
+    for c, first, last in zip(coef, t_lo, t_hi):
+        values = np.arange(first, last + 1, dtype=np.int64)
         offsets = (offsets[:, None, :] + values[:, None] * np.array(c)).reshape(-1, net.n)
-        rest = np.array([
-            _spread([(b, cb[j]) for b, cb in enumerate(coef) if b > a], t_lo, t_hi)
-            for j in range(net.n)
-        ]).reshape(net.n, 2)
-        reachable = (offsets + rest[:, 0] <= np.array(hi)) & (offsets + rest[:, 1] >= np.array(lo))
-        offsets = offsets[reachable.all(axis=1)]
-    offsets = offsets[(offsets % scale == 0).all(axis=1)]
-    return np.array(seed, dtype=np.int64) + offsets // scale
+    keep = (offsets >= np.array(lo)) & (offsets <= np.array(hi)) & (offsets % scale == 0)
+    offsets = offsets[keep.all(axis=1)]
+    offsets //= scale  # in place, beside up to _LATTICE_CAP enumerated points
+    return np.add(offsets, np.array(seed, dtype=np.int64), out=offsets)
 
 
 def _index(
@@ -519,14 +508,7 @@ def stationary_distribution(
     if size == 0:
         raise EmptySupportError("component has no states")
 
-    # Kept moves of the reflected chain between the states in lexicographic
-    # order.  Reactions sharing a reaction vector share a target, and their
-    # rates are summed in reaction order.
-    net = sys.network
-    kept = (all_rates > 0) & (targets >= 0)
-
-    def rate(k):
-        return np.where(kept[:, k], all_rates[:, k], 0.0)
+    kept = (all_rates > 0) & (targets >= 0)  # the moves of the reflected chain
 
     # Subtraction-free state-reduction (GTH) elimination: every update is a
     # sum or product of nonnegative rates, so the stationary vector comes out
@@ -542,12 +524,12 @@ def stationary_distribution(
         lower = max(lower, -int(reach.min(initial=0)))
         upper = max(upper, int(reach.max(initial=0)))
     width = lower + upper
+    # One reaction's moves have distinct targets, so scattering the reactions
+    # in order sums the rates of reactions sharing a reaction vector, and so a
+    # band entry, in reaction order.
     R = np.zeros(size * (width + 1) + lower)
-    classes = reaction_vector_classes(net).values()
-    for group in (g for pair in classes for g in pair if g):
-        total = _in_order_sum(rate(k) for k in group)
-        (rows,) = np.nonzero(total > 0)
-        R[rows * width + targets[rows, group[0]] + lower] = total[rows]
+    for live, column, rate_k in zip(kept.T, targets.T, all_rates.T):
+        R[np.flatnonzero(live) * width + column[live] + lower] += rate_k[live]
     # Overflow, a zero backward rate at bandwidth 1 and the nan they breed
     # are left to the loop and the isfinite check.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -567,7 +549,9 @@ def stationary_distribution(
     in_flux = np.zeros(size)
     for live, column, rate_k in zip(kept.T, targets.T, all_rates.T):
         in_flux[column[live]] += pi[live] * rate_k[live]
-    out_flux = pi * _in_order_sum(rate(k) for k in range(net.r))
+    out_flux = pi * _in_order_sum(
+        np.where(live, rate_k, 0.0) for live, rate_k in zip(kept.T, all_rates.T)
+    )
     worst = max(0.0, float(np.max(np.abs(out_flux - in_flux))))
     scale = max(0.0, float(np.max(out_flux)), float(np.max(in_flux)))
     if scale > 0 and worst > 1e-10 * scale:

@@ -12,6 +12,12 @@ relative tolerance.  Cycle balance follows the library's rule, state by
 state: the basis ``graph.cycles_of`` of the graph without the complexes of
 zero flux or untrusted state at ``x``.
 
+The compatibility-class lattice keeps the enumeration that pruned its
+partial assignments pivot by pivot, with its own interval tightening, and
+the band of the stationary solve keeps its assembly one reaction-vector
+group at a time; the library's single filter and per-reaction scatter must
+give the same arrays, bit for bit.
+
 The product-form measure ``poisson_product`` is kept as a loop over the
 states; the library's array evaluation must give the same weights, bit for
 bit.
@@ -32,6 +38,7 @@ from operator import add
 import numpy as np
 
 import crn.ssa
+import crn.stoch
 from crn.detbal import _log_product_mismatch, reaction_vector_classes
 from crn.errors import (
     BoxTooSmallError,
@@ -42,7 +49,14 @@ from crn.errors import (
 )
 from crn.graph import cycles_of
 from crn.kinetics import propensities
-from crn.model import MassActionSystem, Measure, Verdict, _in_order_sum, discrete_state
+from crn.model import (
+    MassActionSystem,
+    Measure,
+    Verdict,
+    _in_order_sum,
+    discrete_state,
+    stoichiometric_basis,
+)
 from crn.ssa import DEFAULT_JUMP_CAP, SsaConfig
 from crn.stoch import Box, ComponentResult, MeasureBalanceReport, _margin
 
@@ -188,6 +202,71 @@ def communicating_class(sys: MassActionSystem, seed, box: Box) -> ComponentResul
     )
 
 
+def _spread(terms, t_lo, t_hi) -> tuple[int, int]:
+    """Least and greatest ``sum k * t[b]`` over ``(b, k)`` in ``terms``."""
+    return (
+        sum(min(k * t_lo[b], k * t_hi[b]) for b, k in terms),
+        sum(max(k * t_lo[b], k * t_hi[b]) for b, k in terms),
+    )
+
+
+def lattice_ranges(net, seed, box: Box):
+    """The echelon coefficients ``coef``, their scale, the scaled box bounds
+    ``lo`` and ``hi`` and the tightened pivot ranges ``t_lo`` and ``t_hi`` of
+    ``class_lattice``."""
+    basis, _ = stoichiometric_basis(net)
+    pivots = [int(np.flatnonzero(b)[0]) for b in basis]
+    scale = math.lcm(*(int(b[p]) for b, p in zip(basis, pivots)))
+    coef = [[int(v) * (scale // int(b[p])) for v in b] for b, p in zip(basis, pivots)]
+    # Bounds on scale * (x - seed) = sum_a t_a * coef[a].
+    lo = [scale * (v - s) for v, s in zip(box.lower, seed)]
+    hi = [scale * (v - s) for v, s in zip(box.upper, seed)]
+    t_lo = [box.lower[p] - seed[p] for p in pivots]
+    t_hi = [box.upper[p] - seed[p] for p in pivots]
+    for _ in range(64):
+        changed = False
+        for j in range(len(lo)):
+            terms = [(a, c[j]) for a, c in enumerate(coef) if c[j]]
+            for a, k in terms:
+                rest_lo, rest_hi = _spread([tb for tb in terms if tb[0] != a], t_lo, t_hi)
+                low, high = lo[j] - rest_hi, hi[j] - rest_lo
+                if k < 0:
+                    low, high, k = -high, -low, -k
+                new = (max(t_lo[a], -(-low // k)), min(t_hi[a], high // k))
+                if new != (t_lo[a], t_hi[a]):
+                    t_lo[a], t_hi[a] = new
+                    changed = True
+        if not changed:
+            break
+    return coef, scale, lo, hi, t_lo, t_hi
+
+
+def class_lattice(net, seed, box: Box) -> np.ndarray | None:
+    """Lattice points of ``box`` in the compatibility class of ``seed``, or
+    None when the tightened pivot ranges span more than
+    ``crn.stoch._LATTICE_CAP`` assignments (read at call time).
+
+    The pivot ranges are enumerated pivot by pivot, dropping after each
+    pivot the partial assignments that the remaining pivots can no longer
+    bring into the box.
+    """
+    coef, scale, lo, hi, t_lo, t_hi = lattice_ranges(net, seed, box)
+    if math.prod(h - l + 1 for l, h in zip(t_lo, t_hi)) > crn.stoch._LATTICE_CAP:
+        return None
+    offsets = np.zeros((1, net.n), dtype=np.int64)
+    for a, c in enumerate(coef):
+        values = np.arange(t_lo[a], t_hi[a] + 1, dtype=np.int64)
+        offsets = (offsets[:, None, :] + values[:, None] * np.array(c)).reshape(-1, net.n)
+        rest = np.array([
+            _spread([(b, cb[j]) for b, cb in enumerate(coef) if b > a], t_lo, t_hi)
+            for j in range(net.n)
+        ]).reshape(net.n, 2)
+        reachable = (offsets + rest[:, 0] <= np.array(hi)) & (offsets + rest[:, 1] >= np.array(lo))
+        offsets = offsets[reachable.all(axis=1)]
+    offsets = offsets[(offsets % scale == 0).all(axis=1)]
+    return np.array(seed, dtype=np.int64) + offsets // scale
+
+
 def component_is_active(sys: MassActionSystem, component: ComponentResult) -> bool:
     """Whether every reaction fires somewhere in the component."""
     remaining = set(range(sys.network.r))
@@ -290,6 +369,32 @@ def stationary_distribution(
         {x: float(pi[index[x]]) for x in states if pi[index[x]] > 0.0},
         normalized=True,
     )
+
+
+def grouped_band(sys: MassActionSystem, component: ComponentResult):
+    """The band ``R`` of ``crn.stoch.stationary_distribution`` before any
+    elimination, with its ``lower`` and ``upper`` bandwidths, assembled
+    from the component's index one reaction-vector group at a time: each
+    group's kept rates are summed in reaction order and stored once."""
+    all_rates, targets = component.rates, component.targets
+    kept = (all_rates > 0) & (targets >= 0)
+
+    def rate(k):
+        return np.where(kept[:, k], all_rates[:, k], 0.0)
+
+    lower = upper = 0
+    for live, column in zip(kept.T, targets.T):
+        reach = column[live] - np.flatnonzero(live)
+        lower = max(lower, -int(reach.min(initial=0)))
+        upper = max(upper, int(reach.max(initial=0)))
+    width = lower + upper
+    R = np.zeros(len(targets) * (width + 1) + lower)
+    classes = reaction_vector_classes(sys.network).values()
+    for group in (g for pair in classes for g in pair if g):
+        total = _in_order_sum(rate(k) for k in group)
+        (rows,) = np.nonzero(total > 0)
+        R[rows * width + targets[rows, group[0]] + lower] = total[rows]
+    return R, lower, upper
 
 
 def poisson_product(c, states) -> Measure:

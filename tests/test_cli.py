@@ -285,6 +285,20 @@ def test_per_species_box(capsys):
     assert captured.err == "input error: box needs 1 or 3 upper bounds, got 2\n"
 
 
+@pytest.mark.parametrize("name, seed, box, message", [
+    ("birth_death", "A=0", "5,6", "box needs 1 upper bound, got 2"),
+    ("birth_death", "A=0", f"5,{2**63 - 1}", "box needs 1 upper bound, got 2"),
+    ("six_complex", "A=0,B=0,C=2", f"5,{2**63 - 1}", "box needs 1 or 3 upper bounds, got 2"),
+])
+def test_box_count_is_checked_before_its_sides(capsys, name, seed, box, message):
+    # a side of 2**63 points is refused only in a box of the right count
+    argv = ["stationary", str(NETWORKS / f"{name}.crn"), "--seed-state", seed, "--box", box]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
 def test_stationary_memory_per_state_is_bounded(capsys):
     # the peak of traced allocations while a 20,001-state chain is indexed,
     # solved, classified and written, per state; 172.5 bytes when this bound

@@ -19,8 +19,13 @@ dispatches its AVX-512 (X86_V4) loops, with OpenBLAS 0.3.31 picking its own
 kernels.  They hold on such a machine only: numpy's SIMD loops and
 OpenBLAS's kernels round some floats differently on other CPUs, which moves
 the last digits of ``analyze`` and ``stationary`` outputs (``parse``,
-``classify-state`` and ``simulate`` do not move).  A strict xfail below pins
-this for one ``analyze`` case.
+``classify-state`` and ``simulate`` do not move).  Two strict xfails below
+pin this: the bytes of one ``analyze`` case, and the number of rvb points
+that ``analyze`` finds on ``square``.
+
+The statuses alone do not move: exit codes, verdicts, implication statuses
+and deterministic facts.  ``sweep_statuses.json`` holds them for the side-4
+third of ``byte_sweep.py``, and a test below runs those calls.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import pytest
 
 from crn.cli import main
 
+import byte_sweep
 from helpers import CORPUS, load
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -129,23 +135,56 @@ def test_cli_output_matches_golden(argv):
     assert run(argv) == (golden["exit"], golden["sha256"])
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the goldens hold only where numpy dispatches AVX-512")
-def test_analyze_golden_without_avx512_dispatch():
-    # numpy's X86_V4 loops off, as on a CPU without AVX-512: the last digits
-    # of triangle's rvb states move (7.552586601833683 reads ...687)
-    argv = _analyze("triangle")
-    golden = next(entry for entry in _load() if entry["argv"] == argv)
+def _without_avx512(code: str, argv: list[str]) -> str:
+    """Stdout of ``code`` run on ``argv`` in a fresh interpreter with numpy's
+    X86_V4 loops off, as on a CPU without AVX-512; the test modules import."""
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(GOLDENS.parent), *filter(None, [env.get("PYTHONPATH")])]
     )
-    code = "import sys, test_cli_goldens as g; print(*g.run(sys.argv[1:]))"
     proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     if proc.returncode:  # a crash is a failure, not the expected one
         raise RuntimeError(proc.stderr)
-    assert proc.stdout.split() == [str(golden["exit"]), golden["sha256"]]
+    return proc.stdout
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the goldens hold only where numpy dispatches AVX-512")
+def test_analyze_golden_without_avx512_dispatch():
+    # the last digits of triangle's rvb states move (7.552586601833683 reads
+    # ...687)
+    argv = _analyze("triangle")
+    golden = next(entry for entry in _load() if entry["argv"] == argv)
+    code = "import sys, test_cli_goldens as g; print(*g.run(sys.argv[1:]))"
+    assert _without_avx512(code, argv).split() == [str(golden["exit"]), golden["sha256"]]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the number of rvb Newton samples depends on numpy's SIMD dispatch")
+def test_rvb_point_count_without_avx512_dispatch():
+    # square's Newton starts settle on 10 distinct points here and on 11
+    # with the dispatch off; perfbench's corpus_cli goldens compare this
+    # count as a status
+    argv = ["analyze", "demos/networks/square.crn"]
+    code = ("import sys, json, byte_sweep as s; "
+            "print(len(json.loads(s.run(sys.argv[1:])[1])['det']['rvb_states']))")
+    count = len(json.loads(byte_sweep.run(argv)[1])["det"]["rvb_states"])
+    assert int(_without_avx512(code, argv)) == count
+
+
+def test_sweep_statuses_match_the_record():
+    # the side-4 third of tests/byte_sweep.py: exit codes, verdicts,
+    # implication statuses and deterministic facts, which hold on every CPU
+    # the sweep has run on (see sweep_statuses.json)
+    record = json.loads((GOLDENS.parent / "sweep_statuses.json").read_text())
+    assert [entry["argv"] for entry in record] == byte_sweep.calls(boxes=("4",))
+    changed = []
+    for entry in record:
+        code, stdout, _ = byte_sweep.run(entry["argv"])
+        if {"argv": entry["argv"], **byte_sweep.statuses(entry["argv"], code, stdout)} != entry:
+            changed.append(" ".join(entry["argv"]))
+    assert changed == []
 
 
 def test_outputs_do_not_depend_on_how_sum_rounds_floats(monkeypatch):

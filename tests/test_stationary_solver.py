@@ -10,9 +10,13 @@ float must be matched to a relative error of 1e-12.
 
 Components whose kept moves all reach a neighbouring state are solved in
 one vector pass where that matches the banded GTH loop; their weights must
-equal the loop's on the same band bit for bit.
+equal the loop's on the same band bit for bit.  The band itself, scattered
+one reaction at a time, must equal bit for bit the one that
+``reference_stoch.grouped_band`` assembles one reaction-vector group at a
+time.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -23,7 +27,8 @@ import crn
 from crn import Box, stoch
 from crn.errors import SolveFailureError
 
-from helpers import load, relisted
+import reference_stoch as ref
+from helpers import CORPUS, load, outcome, relisted
 
 NORMAL = 2.0**-1022  # smallest positive normal float
 REL = 1e-12
@@ -297,3 +302,41 @@ def test_overflowing_solve_raises_without_a_warning(text, upper):
     comp = stoch.communicating_class(sys, (0,), Box.cube(1, upper))
     with pytest.raises(SolveFailureError, match="state-reduction solve overflowed"):
         stoch.stationary_distribution(sys, comp, allow_truncated=True)
+
+
+def _bands(sys, comp, monkeypatch):
+    """The bands that ``stationary_distribution`` hands to its elimination
+    loop, with their bandwidths; none when it stops before the solve."""
+    bands = []
+    banded = stoch._banded_weights
+
+    def spy(R, size, lower, upper, points):
+        bands.append((R.tobytes(), lower, upper))
+        return banded(R, size, lower, upper, points)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stoch, "_chain_weights", lambda R, size: None)
+        patch.setattr(stoch, "_banded_weights", spy)
+        outcome(stoch.stationary_distribution, sys, comp, allow_truncated=True)
+    return bands
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_band_equals_the_grouped_assembly_bit_for_bit(name, monkeypatch):
+    # with rate constants whose sums round, summing a band entry's reactions
+    # in any other order than the grouped sum's would show
+    base = load(name)
+    n, r = base.network.n, base.network.r
+    rng = np.random.default_rng(sorted(CORPUS).index(name))
+    inexact = crn.MassActionSystem(
+        base.network, tuple(float(k) for k in np.exp(rng.uniform(-2.0, 2.0, r)))
+    )
+    solved = 0
+    for sys, upper in itertools.product((base, inexact), (4, 8)):
+        for seed in itertools.product(range(3), repeat=n):
+            comp, _ = outcome(stoch.communicating_class, sys, seed, Box.cube(n, upper))
+            for band in [] if comp is None else _bands(sys, comp, monkeypatch):
+                R, lower, upper_ = ref.grouped_band(sys, comp)
+                assert band == (R.tobytes(), lower, upper_)
+                solved += 1
+    assert solved >= 3**n
