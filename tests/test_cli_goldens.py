@@ -174,9 +174,10 @@ def test_rvb_point_count_without_avx512_dispatch():
 
 
 def test_sweep_statuses_match_the_record():
-    # the side-4 third of tests/byte_sweep.py: exit codes, verdicts,
-    # implication statuses and deterministic facts, which hold on every CPU
-    # the sweep has run on (see sweep_statuses.json)
+    # the side-4 third of byte_sweep.py: exit codes, verdicts, implication
+    # statuses and deterministic facts, recorded with its --record; over the
+    # whole sweep none moved with numpy's AVX-512 dispatch off or with
+    # OpenBLAS's Haswell kernels
     record = json.loads((GOLDENS.parent / "sweep_statuses.json").read_text())
     assert [entry["argv"] for entry in record] == byte_sweep.calls(boxes=("4",))
     changed = []
